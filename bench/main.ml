@@ -874,244 +874,6 @@ let exp_e13 () =
        rows
     @ [ ("verify_reduction_ratio", Num verify_ratio); ("sign_reduction_ratio", Num sign_ratio) ])
 
-(* --- E14: Spines data plane ------------------------------------------------------------------- *)
-
-(* Probe payload carrying its send timestamp, for overlay latency. *)
-type Netbase.Packet.payload += Bench_probe of float
-
-type e14_overlay_row = {
-  ov_nodes : int;
-  ov_cache : bool;
-  ov_delivered : int;
-  ov_sent : int;
-  ov_dijkstra_per_delivered : float;
-  ov_dijkstra_per_link_send : float;
-  ov_link_sends_per_delivered : float;
-  ov_hop_p50_ms : float;
-  ov_hop_p99_ms : float;
-}
-
-(* Unicast-routed ring overlay (degenerate single node at n = 1): node 0
-   streams probes to a client on the far side; every daemon's counters
-   are summed afterwards. *)
-let e14_overlay_case ~n ~route_cache =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let switch = Netbase.Switch.create ~engine ~trace "bench-overlay" in
-  let topology =
-    if n = 1 then Spines.Topology.create ~nodes:[ 0 ] ~links:[]
-    else
-      Spines.Topology.create
-        ~nodes:(List.init n (fun i -> i))
-        ~links:(List.init n (fun i -> Spines.Topology.link i ((i + 1) mod n)))
-  in
-  let ip i = Netbase.Addr.Ip.v 10 0 0 (i + 1) in
-  let hosts =
-    Array.init n (fun i ->
-        let h = Netbase.Host.create ~engine ~trace (Printf.sprintf "ov%d" i) in
-        let nic = Netbase.Host.add_nic h ~ip:(ip i) in
-        let (_ : int) = Netbase.Host.plug_into_switch h nic switch in
-        h)
-  in
-  let nodes =
-    Array.init n (fun i ->
-        Spines.Node.create ~engine ~trace ~host:hosts.(i) ~id:i
-          (Spines.Node.default_config ~it_mode:false ~group_key:"bench-key" ~route_cache
-             topology))
-  in
-  Array.iteri
-    (fun i node ->
-      for j = 0 to n - 1 do
-        if i <> j then Spines.Node.set_peer_address node j (ip j)
-      done;
-      Spines.Node.start node)
-    nodes;
-  let dst = if n = 1 then 0 else n / 2 in
-  let hops = if n = 1 then 1 else n / 2 in
-  let lat = Sim.Stats.Summary.create () in
-  Spines.Node.register_client nodes.(dst) ~client:1 (fun ~src:_ ~size:_ payload ->
-      match payload with
-      | Bench_probe t0 -> Sim.Stats.Summary.add lat (Sim.Engine.now engine -. t0)
-      | _ -> ());
-  (* Let hellos settle before measuring. *)
-  Sim.Engine.run ~until:2.0 engine;
-  let sent = 400 in
-  for i = 0 to sent - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(2.0 +. (0.005 *. float_of_int i))
-         (fun () ->
-           Spines.Node.send nodes.(0) ~client:0 ~size:64
-             (Spines.Node.To_client { node = dst; client = 1 })
-             (Bench_probe (Sim.Engine.now engine))))
-  done;
-  Sim.Engine.run ~until:6.0 engine;
-  Array.iter Spines.Node.stop nodes;
-  let total name =
-    Array.fold_left
-      (fun acc nd -> acc + Sim.Stats.Counter.get (Spines.Node.counters nd) name)
-      0 nodes
-  in
-  let delivered = Sim.Stats.Summary.count lat in
-  let per_delivered x = float_of_int x /. float_of_int (max 1 delivered) in
-  let link_tx = total "link.tx" in
-  {
-    ov_nodes = n;
-    ov_cache = route_cache;
-    ov_delivered = delivered;
-    ov_sent = sent;
-    ov_dijkstra_per_delivered = per_delivered (total "route.dijkstra");
-    ov_dijkstra_per_link_send =
-      float_of_int (total "route.dijkstra") /. float_of_int (max 1 link_tx);
-    ov_link_sends_per_delivered = per_delivered link_tx;
-    ov_hop_p50_ms = ms (Sim.Stats.Summary.median lat) /. float_of_int hops;
-    ov_hop_p99_ms = ms (Sim.Stats.Summary.percentile lat 99.0) /. float_of_int hops;
-  }
-
-type e14_deploy_row = {
-  dp_label : string;
-  dp_confirmed : int;
-  dp_issued : int;
-  dp_link_tx : int;
-  dp_flushes : int;
-  dp_link_tx_per_flush : float;
-  dp_link_tx_per_confirmed : float;
-  dp_egress_drops : int;
-  dp_mean_latency_ms : float;
-}
-
-(* Full Spire deployment under HMI command load plus proxy polling:
-   link-level sends per Prime batch flush and per confirmed command,
-   with frame coalescing on or off. *)
-let e14_deployment_case ~coalescing =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let config = Prime.Config.create ~f:1 ~k:1 ~coalescing () in
-  let deployment = Spire.Deployment.create ~engine ~trace ~config mini_scenario in
-  Sim.Engine.run ~until:5.0 engine;
-  let hmi_bundle = (Spire.Deployment.hmis deployment).(0) in
-  let stats = Sim.Stats.Summary.create () in
-  Prime.Client.set_on_confirmed hmi_bundle.Spire.Deployment.h_client
-    (fun ~client_seq:_ ~latency -> Sim.Stats.Summary.add stats latency);
-  let issued = ref 0 in
-  let toggle = ref false in
-  let timer =
-    Sim.Engine.every engine ~period:0.1 (fun () ->
-        incr issued;
-        toggle := not !toggle;
-        ignore
-          (Scada.Hmi.command hmi_bundle.Spire.Deployment.h_hmi ~breaker:"B57" ~close:!toggle))
-  in
-  Sim.Engine.run ~until:25.0 engine;
-  Sim.Engine.cancel_timer engine timer;
-  Sim.Engine.run ~until:27.0 engine;
-  let replicas = Spire.Deployment.replicas deployment in
-  let spines_total name =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        + Sim.Stats.Counter.get (Spines.Node.counters r.Spire.Deployment.r_internal_node) name
-        + Sim.Stats.Counter.get (Spines.Node.counters r.Spire.Deployment.r_external_node) name)
-      0 replicas
-  in
-  let flushes =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        + Sim.Stats.Counter.get
-            (Prime.Replica.counters r.Spire.Deployment.r_replica)
-            "crypto.batch_flush")
-      0 replicas
-  in
-  let link_tx = spines_total "link.tx" in
-  let confirmed = Sim.Stats.Summary.count stats in
-  {
-    dp_label = (if coalescing then "coalescing on" else "coalescing off");
-    dp_confirmed = confirmed;
-    dp_issued = !issued;
-    dp_link_tx = link_tx;
-    dp_flushes = flushes;
-    dp_link_tx_per_flush = float_of_int link_tx /. float_of_int (max 1 flushes);
-    dp_link_tx_per_confirmed = float_of_int link_tx /. float_of_int (max 1 confirmed);
-    dp_egress_drops = spines_total "egress.drop";
-    dp_mean_latency_ms = ms (Sim.Stats.Summary.mean stats);
-  }
-
-let exp_e14 () =
-  section "E14" "Spines data plane: route-cache amortization and link-frame coalescing";
-  let overlay_rows =
-    List.concat_map
-      (fun n ->
-        [ e14_overlay_case ~n ~route_cache:false; e14_overlay_case ~n ~route_cache:true ])
-      [ 1; 8; 32 ]
-  in
-  Printf.printf "  %-22s %9s %12s %12s %12s %10s %10s\n" "overlay (unicast)" "delivered"
-    "dijkstra/msg" "dijkstra/snd" "sends/msg" "hop p50" "hop p99";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-22s %5d/%-3d %12.3f %12.3f %12.2f %8.2fms %8.2fms\n"
-        (Printf.sprintf "%2d nodes, cache %s" r.ov_nodes (if r.ov_cache then "on" else "off"))
-        r.ov_delivered r.ov_sent r.ov_dijkstra_per_delivered r.ov_dijkstra_per_link_send
-        r.ov_link_sends_per_delivered r.ov_hop_p50_ms r.ov_hop_p99_ms)
-    overlay_rows;
-  let deploy_rows = [ e14_deployment_case ~coalescing:false; e14_deployment_case ~coalescing:true ] in
-  Printf.printf "\n  %-18s %10s %10s %10s %12s %12s %10s\n" "deployment" "confirmed" "link.tx"
-    "flushes" "tx/flush" "tx/confirmed" "mean(ms)";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-18s %6d/%-3d %10d %10d %12.1f %12.1f %10.1f\n" r.dp_label r.dp_confirmed
-        r.dp_issued r.dp_link_tx r.dp_flushes r.dp_link_tx_per_flush r.dp_link_tx_per_confirmed
-        r.dp_mean_latency_ms)
-    deploy_rows;
-  let off = List.nth deploy_rows 0 and on = List.nth deploy_rows 1 in
-  let reduction = off.dp_link_tx_per_confirmed /. max 1e-9 on.dp_link_tx_per_confirmed in
-  Printf.printf "\n  Link sends per confirmed command: %.1f -> %.1f (%.2fx reduction).\n"
-    off.dp_link_tx_per_confirmed on.dp_link_tx_per_confirmed reduction;
-  print_endline "\n  With the epoch-keyed route cache, Dijkstra runs only when the live-link";
-  print_endline "  view changes (LSA/hello transitions) instead of once per forwarded packet;";
-  print_endline "  with frame coalescing, payloads flushed to the same neighbor inside one";
-  print_endline "  window cross the link as a single authenticated frame, so a Prime batch";
-  print_endline "  flush crosses the overlay as one send instead of N.";
-  let open Obs.Json in
-  Obj
-    [
-      ( "overlay",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("nodes", num_i r.ov_nodes);
-                   ("route_cache", Bool r.ov_cache);
-                   ("delivered", num_i r.ov_delivered);
-                   ("sent", num_i r.ov_sent);
-                   ("dijkstra_per_delivered", Num r.ov_dijkstra_per_delivered);
-                   ("dijkstra_per_link_send", Num r.ov_dijkstra_per_link_send);
-                   ("link_sends_per_delivered", Num r.ov_link_sends_per_delivered);
-                   ("hop_latency_p50_ms", Num r.ov_hop_p50_ms);
-                   ("hop_latency_p99_ms", Num r.ov_hop_p99_ms);
-                 ])
-             overlay_rows) );
-      ( "deployment",
-        Obj
-          (List.map
-             (fun r ->
-               ( r.dp_label,
-                 Obj
-                   [
-                     ("confirmed", num_i r.dp_confirmed);
-                     ("issued", num_i r.dp_issued);
-                     ("link_tx", num_i r.dp_link_tx);
-                     ("batch_flushes", num_i r.dp_flushes);
-                     ("link_tx_per_flush", Num r.dp_link_tx_per_flush);
-                     ("link_tx_per_confirmed", Num r.dp_link_tx_per_confirmed);
-                     ("egress_drops", num_i r.dp_egress_drops);
-                     ("mean_latency_ms", Num r.dp_mean_latency_ms);
-                   ] ))
-             deploy_rows) );
-      ("link_send_reduction_ratio", Num reduction);
-    ]
-
 (* --- E11: micro benches (Bechamel) ----------------------------------------------------------- *)
 
 let exp_micro () =
@@ -1375,13 +1137,14 @@ let run_e15_case ~checkpoint_interval ~down_s ~wiped ~label =
       0
       (Spire.Deployment.replicas deployment)
   in
-  let transfer_before, replayed_before =
-    match Spire.Deployment.durable deployment 0 with
-    | None -> (0, 0)
-    | Some d ->
-        ( Scada.Durable.transfer_bytes d,
-          Sim.Stats.Counter.get (Scada.Durable.counters d) "durable.recovered_records" )
+  let durable i =
+    Scada.Master.durable (Spire.Deployment.replicas deployment).(i).Spire.Deployment.r_master
   in
+  let replayed () =
+    Sim.Stats.Counter.get (Scada.Durable.counters (durable 0)) "durable.recovered_records"
+  in
+  let transfer_before = Scada.Durable.transfer_bytes (durable 0) in
+  let replayed_before = replayed () in
   if wiped then Spire.Deployment.bring_up_replica_clean deployment 0
   else Spire.Deployment.bring_up_replica_intact deployment 0;
   let t0 = Sim.Engine.now engine in
@@ -1390,25 +1153,18 @@ let run_e15_case ~checkpoint_interval ~down_s ~wiped ~label =
     Prime.Replica.is_running r0 && Prime.Replica.origin_synced r0
     && Prime.Replica.exec_seq r0 >= frontier
   in
-  while (not (rejoined ())) && Sim.Engine.now engine < deadline do
-    Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.1) engine
+  (* Event granularity: the rejoin predicate is checked after every
+     event, so catch-up is timed to the event that completed it. *)
+  while (not (rejoined ())) && Sim.Engine.now engine < deadline && Sim.Engine.step engine do
+    ()
   done;
   let catch_up = Sim.Engine.now engine -. t0 in
   Spire.Scenario_driver.stop driver;
-  let transfer_bytes, replayed, wal_bytes =
-    match Spire.Deployment.durable deployment 0 with
-    | None -> (0, 0, 0)
-    | Some d ->
-        ( Scada.Durable.transfer_bytes d - transfer_before,
-          Sim.Stats.Counter.get (Scada.Durable.counters d) "durable.recovered_records"
-          - replayed_before,
-          Store.Media.total_bytes (Scada.Durable.media d) )
-  in
+  let transfer_bytes = Scada.Durable.transfer_bytes (durable 0) - transfer_before in
+  let replayed = replayed () - replayed_before in
+  let wal_bytes = Store.Media.total_bytes (Scada.Durable.media (durable 0)) in
   let peer_fsyncs =
-    match Spire.Deployment.durable deployment 1 with
-    | None -> 0
-    | Some d ->
-        Sim.Stats.Counter.get (Store.Media.counters (Scada.Durable.media d)) "media.fsync"
+    Sim.Stats.Counter.get (Store.Media.counters (Scada.Durable.media (durable 1))) "media.fsync"
   in
   {
     e15_label = label;
@@ -1453,7 +1209,7 @@ let exp_e15 () =
     "transfer(B)" "replayed" "disk(B)" "fsyncs" "rejoined";
   List.iter
     (fun r ->
-      Printf.printf "  %-28s %8d %10.2f %12d %10d %10d %10d %9b\n" r.e15_label r.e15_log_execs
+      Printf.printf "  %-28s %8d %10.3f %12d %10d %10d %10d %9b\n" r.e15_label r.e15_log_execs
         r.e15_catch_up_s r.e15_transfer_bytes r.e15_replayed r.e15_wal_bytes r.e15_peer_fsyncs
         r.e15_rejoined)
     rows;
@@ -1526,7 +1282,7 @@ let exp_e16 () =
   Printf.printf "  off-runs byte-identical: %b; on/off protocol schedule identical: %b\n"
     off_identical on_off_schedule_identical;
   print_endline "\n  Observation is passive: the sampler timer draws no randomness and ties";
-  print_endline "  on the event heap break by insertion order, so enabling the recorder,";
+  print_endline "  on the event queue break by insertion order, so enabling the recorder,";
   print_endline "  probes and alert engine changes allocations but not one protocol event.";
   let open Obs.Json in
   let mode_json (r : Chaos.Runner.result) cpu minor =
@@ -1551,18 +1307,18 @@ let exp_e16 () =
       ("on_off_schedule_identical", Bool on_off_schedule_identical);
     ]
 
-(* --- E17: sim core — timer wheel vs binary heap ------------------------------------------------ *)
+(* --- E17: sim core — timer-wheel event queue ---------------------------------------------------- *)
 
 (* Queue-bound synthetic workload: a population of self-rescheduling
    periodic timers (the dominant event shape in deployment runs —
    hello/poll/summary/reconcile ticks) plus a retransmit-arm/ack-cancel
    churn pattern. Thunks are allocated once and reused, so the measured
    time and allocation deltas belong to the event queue itself. *)
-let run_e17_queue ~backend ~timers ~churn_hz ~duration () =
+let run_e17_queue ~timers ~churn_hz ~duration () =
   Gc.full_major ();
   let minor0 = Gc.minor_words () in
   let cpu0 = Sys.time () in
-  let e = Sim.Engine.create ~backend ~hint:(4 * timers) () in
+  let e = Sim.Engine.create ~hint:(4 * timers) () in
   let rng = Sim.Rng.create 99L in
   for i = 0 to timers - 1 do
     (* Periods spread over [10ms, 510ms] so bucket occupancy varies. *)
@@ -1589,68 +1345,28 @@ let run_e17_queue ~backend ~timers ~churn_hz ~duration () =
   (Sim.Engine.executed_events e, !cancelled, cpu, minor)
 
 let exp_e17 () =
-  section "E17" "Sim core: timer wheel vs binary heap (events/sec, allocations/event, determinism)";
+  section "E17" "Sim core: timer-wheel event queue (events/sec, allocations/event)";
   let timers = 20_000 and churn_hz = 500 and duration = 20.0 in
-  let bench backend =
-    let executed, cancelled, cpu, minor =
-      run_e17_queue ~backend ~timers ~churn_hz ~duration ()
-    in
-    let events_per_s = float_of_int executed /. Float.max 1e-9 cpu in
-    let words_per_event = minor /. float_of_int (max 1 executed) in
-    Printf.printf
-      "  %-6s %8d events (%d cancelled) in %6.2f s cpu: %10.0f events/s, %6.1f minor words/event\n"
-      (match backend with `Wheel -> "wheel" | `Heap -> "heap")
-      executed cancelled cpu events_per_s words_per_event;
-    (executed, events_per_s, words_per_event)
-  in
-  let heap_exec, heap_eps, heap_wpe = bench `Heap in
-  let wheel_exec, wheel_eps, wheel_wpe = bench `Wheel in
-  let speedup = wheel_eps /. heap_eps in
-  let alloc_ratio = wheel_wpe /. Float.max 1e-9 heap_wpe in
-  Printf.printf "  wheel speedup: %.2fx events/s; allocations/event ratio %.2fx\n" speedup
-    alloc_ratio;
-  (* End-to-end determinism: a full same-seed chaos campaign must be
-     byte-identical across backends — flight JSONL and result JSON. *)
-  let w = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Wheel () in
-  let h = Chaos.Runner.run ~duration:30.0 ~seed:42 ~backend:`Heap () in
-  let flight_identical =
-    match (w.Chaos.Runner.flight_jsonl, h.Chaos.Runner.flight_jsonl) with
-    | Some jw, Some jh -> String.equal jw jh
-    | _ -> false
-  in
-  let result_identical =
-    String.equal
-      (Obs.Json.to_string (Chaos.Runner.result_to_json w))
-      (Obs.Json.to_string (Chaos.Runner.result_to_json h))
-  in
+  let executed, cancelled, cpu, minor = run_e17_queue ~timers ~churn_hz ~duration () in
+  let events_per_s = float_of_int executed /. Float.max 1e-9 cpu in
+  let words_per_event = minor /. float_of_int (max 1 executed) in
   Printf.printf
-    "  heap/wheel chaos runs: flight JSONL identical: %b; result JSON identical: %b\n"
-    flight_identical result_identical;
+    "  wheel  %8d events (%d cancelled) in %6.2f s cpu: %10.0f events/s, %6.1f minor words/event\n"
+    executed cancelled cpu events_per_s words_per_event;
   print_endline "\n  The wheel schedules and cancels in O(1) against slab-allocated cells";
-  print_endline "  (no per-event heap entry or id-table churn) while popping in exactly";
-  print_endline "  the heap's (time, schedule-order) — so it is faster without moving";
-  print_endline "  one event of any same-seed run.";
+  print_endline "  while popping in exactly (time, schedule-order). The executed-event";
+  print_endline "  count and minor words/event are deterministic for fixed code; CPU";
+  print_endline "  time is reported only.";
   let open Obs.Json in
-  let backend_json executed eps wpe =
-    Obj
-      [
-        ("executed_events", num_i executed);
-        ("events_per_cpu_s", Num eps);
-        ("minor_words_per_event", Num wpe);
-      ]
-  in
   Obj
     [
       ("timers", num_i timers);
       ("churn_hz", num_i churn_hz);
       ("duration_s", Num duration);
-      ("heap", backend_json heap_exec heap_eps heap_wpe);
-      ("wheel", backend_json wheel_exec wheel_eps wheel_wpe);
-      ("wheel_speedup", Num speedup);
-      ("alloc_per_event_ratio", Num alloc_ratio);
-      ("synthetic_executed_identical", Bool (heap_exec = wheel_exec));
-      ("chaos_flight_jsonl_identical", Bool flight_identical);
-      ("chaos_result_json_identical", Bool result_identical);
+      ("executed_events", num_i executed);
+      ("cancelled", num_i cancelled);
+      ("events_per_cpu_s", Num events_per_s);
+      ("minor_words_per_event", Num words_per_event);
     ]
 
 (* --- E18: scale-out field layer — sharded masters, poll aggregation, 1 000 devices ------------ *)
@@ -2216,8 +1932,8 @@ let e20_render net =
    surviving boundary, trip it too, and island the corridor — a genuine
    initial-trip -> overload -> secondary-trips chain, staggered and
    fully deterministic. *)
-let e20_cascade backend =
-  let engine = Sim.Engine.create ~seed:2020L ~backend () in
+let e20_cascade () =
+  let engine = Sim.Engine.create ~seed:2020L () in
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:e20_devices ()) in
   let net = Power.Net.create ~engine model in
   let open_sites sites =
@@ -2262,21 +1978,18 @@ let exp_e20 () =
   let n2_cases = List.init sites (fun s -> [ feeder s; feeder ((s + 1) mod sites) ]) in
   let n1_overloads, n1_worst = sweep "N-1 feeders" n1_cases in
   let n2_overloads, n2_worst = sweep "N-2 adjacent" n2_cases in
-  (* The cascade, and the determinism claims: same seed twice, and the
-     heap vs timer-wheel engine backends, all byte-identical. *)
-  let net, bytes_heap = e20_cascade `Heap in
-  let _, bytes_heap2 = e20_cascade `Heap in
-  let _, bytes_wheel = e20_cascade `Wheel in
-  let same_seed_identical = String.equal bytes_heap bytes_heap2 in
-  let backends_identical = String.equal bytes_heap bytes_wheel in
+  (* The cascade, and the determinism claim: same seed twice,
+     byte-identical. *)
+  let net, bytes = e20_cascade () in
+  let _, bytes2 = e20_cascade () in
+  let same_seed_identical = String.equal bytes bytes2 in
   let trips = Power.Net.trip_log net in
   let sheds = Power.Net.shed_log net in
   Printf.printf "  cascade: %d trips, %.1f MW shed, %.1f/%.1f MW served\n" (List.length trips)
     (Power.Net.shed_mw net) (Power.Net.served_mw net) (Power.Net.total_demand_mw net);
   List.iter (fun (t, line) -> Printf.printf "    trip t=%8.3f  %s\n" t line) trips;
   List.iter (fun (t, load, mw) -> Printf.printf "    shed t=%8.3f  %s  %.1f MW\n" t load mw) sheds;
-  Printf.printf "  same-seed identical %b  backends identical %b\n" same_seed_identical
-    backends_identical;
+  Printf.printf "  same-seed identical %b\n" same_seed_identical;
   (* --- Part B: the replicated stack ------------------------------------ *)
   let flight = Obs.Flight.default in
   let prev_flight = Obs.Flight.enabled flight in
@@ -2409,7 +2122,6 @@ let exp_e20 () =
             ("served_mw", Num (Power.Net.served_mw net));
             ("total_demand_mw", Num (Power.Net.total_demand_mw net));
             ("same_seed_identical", Bool same_seed_identical);
-            ("backends_identical", Bool backends_identical);
           ] );
       ( "no_fault",
         Obj
@@ -2453,7 +2165,6 @@ let experiments =
     ("e10", exp_e10);
     ("e12", exp_e12);
     ("e13", exp_e13);
-    ("e14", exp_e14);
     ("e15", exp_e15);
     ("e16", exp_e16);
     ("e17", exp_e17);

@@ -53,33 +53,6 @@ let no_batch_arg =
     & info [ "no-batch-signing" ]
         ~doc:"Disable Merkle batch signing and the verified-signature cache.")
 
-(* Spines data-plane escape hatches, parity with --no-batch-signing. *)
-let no_route_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-route-cache" ]
-        ~doc:"Recompute Dijkstra next hops per packet instead of caching per view epoch.")
-
-let no_coalescing_arg =
-  Arg.(
-    value & flag
-    & info [ "no-coalescing" ]
-        ~doc:"Send every overlay payload as its own link message instead of coalescing frames.")
-
-let apply_data_plane ~no_route_cache ~no_coalescing (config : Prime.Config.t) =
-  let config =
-    if no_route_cache then { config with Prime.Config.route_cache = false } else config
-  in
-  if no_coalescing then { config with Prime.Config.coalescing = false } else config
-
-(* Durable-store escape hatches, parity with the crypto and data-plane
-   flags above. *)
-let no_durable_store_arg =
-  Arg.(
-    value & flag
-    & info [ "no-durable-store" ]
-        ~doc:"Run replicas without the durable store (no WAL, no authenticated checkpoints).")
-
 let checkpoint_interval_arg =
   Arg.(
     value
@@ -87,16 +60,12 @@ let checkpoint_interval_arg =
     & info [ "checkpoint-interval" ] ~docv:"N"
         ~doc:"Executions between authenticated checkpoints (default from the deployment config).")
 
-let apply_store ~no_durable_store ~checkpoint_interval (config : Prime.Config.t) =
-  let config =
-    if no_durable_store then { config with Prime.Config.durable_store = false } else config
-  in
+let apply_store ~checkpoint_interval (config : Prime.Config.t) =
   match checkpoint_interval with
   | None -> config
   | Some k -> { config with Prime.Config.checkpoint_interval = max 1 k }
 
-let latency samples poll gap no_batch no_route_cache no_coalescing no_durable_store
-    checkpoint_interval json_file =
+let latency samples poll gap no_batch checkpoint_interval json_file =
   let pr name stats completed =
     Printf.printf "%-24s %3d/%d samples  mean %7.1f ms  p50 %7.1f ms  p99 %7.1f ms\n" name
       completed samples
@@ -108,8 +77,7 @@ let latency samples poll gap no_batch no_route_cache no_coalescing no_durable_st
   let engine, trace = fresh_world () in
   let config = Prime.Config.power_plant () in
   let config = if no_batch then plain_crypto config else config in
-  let config = apply_data_plane ~no_route_cache ~no_coalescing config in
-  let config = apply_store ~no_durable_store ~checkpoint_interval config in
+  let config = apply_store ~checkpoint_interval config in
   let deployment =
     Spire.Deployment.create ~proxy_poll_period:poll ~engine ~trace ~config mini_scenario
   in
@@ -177,8 +145,7 @@ let latency_cmd =
   Cmd.v
     (Cmd.info "latency" ~doc:"Measure breaker-flip-to-HMI reaction time (Section V).")
     Term.(
-      const latency $ samples $ poll $ gap $ no_batch_arg $ no_route_cache_arg
-      $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
+      const latency $ samples $ poll $ gap $ no_batch_arg $ checkpoint_interval_arg $ json)
 
 (* --- plant -------------------------------------------------------------------- *)
 
@@ -327,12 +294,10 @@ let chaos_soak ~config ~duration ~load_period seeds =
         fs;
       1
 
-let chaos seed duration load_period soak no_batch no_route_cache no_coalescing
-    no_durable_store checkpoint_interval json_file =
+let chaos seed duration load_period soak no_batch checkpoint_interval json_file =
   let config = Prime.Config.power_plant () in
   let config = if no_batch then plain_crypto config else config in
-  let config = apply_data_plane ~no_route_cache ~no_coalescing config in
-  let config = apply_store ~no_durable_store ~checkpoint_interval config in
+  let config = apply_store ~checkpoint_interval config in
   match soak with
   | Some seeds when seeds > 0 -> exit (chaos_soak ~config ~duration ~load_period seeds)
   | Some _ | None ->
@@ -414,8 +379,8 @@ let chaos_cmd =
          "Run a seeded fault-injection scenario with continuous invariant checking; exits \
           non-zero on any violation.")
     Term.(
-      const chaos $ seed $ duration $ load_period $ soak $ no_batch_arg $ no_route_cache_arg
-      $ no_coalescing_arg $ no_durable_store_arg $ checkpoint_interval_arg $ json)
+      const chaos $ seed $ duration $ load_period $ soak $ no_batch_arg
+      $ checkpoint_interval_arg $ json)
 
 (* --- monitor ------------------------------------------------------------------ *)
 

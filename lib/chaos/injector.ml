@@ -5,11 +5,10 @@
    each outgoing link transmission consults this module's shared fault
    state (partitioned links, lossy-link parameters) and draws from the
    chaos RNG, so the whole fault pattern replays from the chaos seed.
-   With frame coalescing enabled the daemon consults the injector at the
-   egress-queue boundary — one verdict per link frame — so a lossy link
-   drops or delays the coalesced payloads together, the way a real lossy
-   wire loses a datagram; with coalescing off the verdict stays
-   per-message. Replica faults use the deployment's proactive-recovery
+   The daemon consults the injector at the egress-queue boundary — one
+   verdict per link frame — so a lossy link drops or delays the
+   coalesced payloads together, the way a real lossy wire loses a
+   datagram. Replica faults use the deployment's proactive-recovery
    entry points; leader faults re-use Prime's misbehaviour knobs on the
    current leader. *)
 

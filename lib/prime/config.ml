@@ -21,11 +21,8 @@ type t = {
   batch_signing : bool; (* aggregate outbound ack/prepare/commit signatures *)
   batch_window : float; (* accumulation window before a batch flush *)
   sig_cache_capacity : int; (* verified-signature cache entries (0 disables) *)
-  route_cache : bool; (* Spines: cache next-hop tables per view epoch *)
-  coalescing : bool; (* Spines: pack same-neighbor payloads into one frame *)
   egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
   coalesce_window : float; (* Spines: egress flush window, seconds *)
-  durable_store : bool; (* WAL + authenticated checkpoints per replica *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
@@ -34,9 +31,8 @@ type t = {
 let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     ?(heartbeat_period = 0.5) ?(tat_check_period = 0.25) ?(tat_allowance = 0.25)
     ?(reconcile_period = 0.1) ?(log_retention = 1000) ?(batch_signing = true)
-    ?(batch_window = 0.002) ?(sig_cache_capacity = 512) ?(route_cache = true)
-    ?(coalescing = true) ?(egress_capacity = 256) ?(coalesce_window = 0.0005)
-    ?(durable_store = true) ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024)
+    ?(batch_window = 0.002) ?(sig_cache_capacity = 512) ?(egress_capacity = 256)
+    ?(coalesce_window = 0.0005) ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024)
     ?(fsync_every = 8) () =
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
@@ -62,11 +58,8 @@ let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     batch_signing;
     batch_window;
     sig_cache_capacity;
-    route_cache;
-    coalescing;
     egress_capacity;
     coalesce_window;
-    durable_store;
     checkpoint_interval;
     wal_segment_size;
     fsync_every;

@@ -17,11 +17,8 @@ type t = {
   batch_signing : bool; (* aggregate outbound ack/prepare/commit signatures *)
   batch_window : float; (* accumulation window before a batch flush *)
   sig_cache_capacity : int; (* verified-signature cache entries (0 disables) *)
-  route_cache : bool; (* Spines: cache next-hop tables per view epoch *)
-  coalescing : bool; (* Spines: pack same-neighbor payloads into one frame *)
   egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
   coalesce_window : float; (* Spines: egress flush window, seconds *)
-  durable_store : bool; (* WAL + authenticated checkpoints per replica *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
@@ -42,11 +39,8 @@ val create :
   ?batch_signing:bool ->
   ?batch_window:float ->
   ?sig_cache_capacity:int ->
-  ?route_cache:bool ->
-  ?coalescing:bool ->
   ?egress_capacity:int ->
   ?coalesce_window:float ->
-  ?durable_store:bool ->
   ?checkpoint_interval:int ->
   ?wal_segment_size:int ->
   ?fsync_every:int ->

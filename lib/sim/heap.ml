@@ -1,9 +1,9 @@
 (* Array-backed binary min-heap.
 
-   The simulator's event queue is the hottest data structure in the system;
-   a flat array heap keeps it allocation-light. Ties on the primary key are
-   broken by insertion order (the [seq] field) so event delivery is stable
-   and runs are deterministic. *)
+   It holds the timer wheel's far-future overflow events; a flat array
+   heap keeps it allocation-light. Ties on the primary key are broken by
+   insertion order (the [seq] field) so event delivery is stable and runs
+   are deterministic. *)
 
 type 'a entry = { key : float; seq : int; value : 'a }
 

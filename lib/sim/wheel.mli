@@ -4,7 +4,7 @@
     small overflow heap for far-future events. Events pop in exactly
     (time, schedule-order) order — the same tie-break as {!Heap} keyed
     by insertion sequence — so same-seed simulation runs are
-    byte-identical across queue backends. Event cells live in a slab
+    byte-identical. Event cells live in a slab
     (parallel arrays threaded by an intrusive free list), so a steady
     schedule→execute cycle touches no allocator once the slab has grown
     to the working-set size. *)

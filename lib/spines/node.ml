@@ -88,15 +88,12 @@ type config = {
   source_rate_limit : float; (* data msgs/s accepted per origin in IT mode *)
   session_timeout : float; (* attachment freshness bound *)
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
-  route_cache : bool; (* cache next-hop tables per view epoch *)
-  coalescing : bool; (* pack same-neighbor payloads into one link frame *)
   egress_capacity : int; (* per-neighbor egress queue bound, messages *)
   coalesce_window : float; (* egress flush window, seconds *)
 }
 
 let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
-    ?(dedup_window = 4096) ?(route_cache = true) ?(coalescing = true)
-    ?(egress_capacity = 256) ?(coalesce_window = 0.0005) topology =
+    ?(dedup_window = 4096) ?(egress_capacity = 256) ?(coalesce_window = 0.0005) topology =
   if egress_capacity < 1 then invalid_arg "Node.default_config: egress_capacity must be >= 1";
   if coalesce_window < 0.0 then
     invalid_arg "Node.default_config: coalesce_window must be >= 0";
@@ -111,8 +108,6 @@ let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
     source_rate_limit = 2000.0;
     session_timeout = 5.0;
     dedup_window;
-    route_cache;
-    coalescing;
     egress_capacity;
     coalesce_window;
   }
@@ -449,22 +444,19 @@ let schedule_flush t to_ es =
                flush_egress t to_ es))
 
 let enqueue_link t ~to_ ~prio ~origin inner =
-  if not t.config.coalescing then send_link t ~to_ inner
-  else begin
-    let es = egress_for t to_ in
-    let before = Egress.drops es.eq in
-    ignore (Egress.enqueue es.eq ~prio ~origin inner);
-    let dropped = Egress.drops es.eq - before in
-    if dropped > 0 then begin
-      Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
-      Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
-      if Obs.Flight.recording Obs.Flight.default then
-        Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
-          ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
-          (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
-    end;
-    schedule_flush t to_ es
-  end
+  let es = egress_for t to_ in
+  let before = Egress.drops es.eq in
+  ignore (Egress.enqueue es.eq ~prio ~origin inner);
+  let dropped = Egress.drops es.eq - before in
+  if dropped > 0 then begin
+    Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
+    Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
+    if Obs.Flight.recording Obs.Flight.default then
+      Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
+        ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
+        (Printf.sprintf "node %d dropped %d toward %d (queue full)" t.id dropped to_)
+  end;
+  schedule_flush t to_ es
 
 (* --- route cache ------------------------------------------------------------ *)
 
@@ -490,24 +482,14 @@ let ensure_route_table t =
 
 let route_next_hop t ~dst =
   if dst = t.id then None
-  else if t.config.route_cache then begin
+  else begin
     ensure_route_table t;
     Hashtbl.find_opt t.route_table dst
   end
-  else begin
-    Sim.Stats.Counter.incr t.counters "route.dijkstra";
-    Topology.route t.config.topology t.view ~src:t.id ~dst
-  end
 
 let next_hop_snapshot t =
-  let tbl =
-    if t.config.route_cache then begin
-      ensure_route_table t;
-      t.route_table
-    end
-    else Topology.next_hops t.config.topology t.view ~src:t.id
-  in
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  ensure_route_table t;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.route_table [])
 
 let live_neighbors t =
   List.filter

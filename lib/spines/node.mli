@@ -28,8 +28,6 @@ type config = {
   source_rate_limit : float;
   session_timeout : float;
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
-  route_cache : bool; (* cache next-hop tables per view epoch *)
-  coalescing : bool; (* pack same-neighbor payloads into one link frame *)
   egress_capacity : int; (* per-neighbor egress queue bound, messages *)
   coalesce_window : float; (* egress flush window, seconds *)
 }
@@ -42,8 +40,6 @@ val default_config :
   ?it_mode:bool ->
   ?group_key:string ->
   ?dedup_window:int ->
-  ?route_cache:bool ->
-  ?coalescing:bool ->
   ?egress_capacity:int ->
   ?coalesce_window:float ->
   Topology.t ->
@@ -83,9 +79,10 @@ val inject_exploit : t -> string -> unit
     delayed message can overtake later traffic, modelling reordering). *)
 type fault_decision = { fd_drop : bool; fd_duplicate : bool; fd_delay : float }
 
-(** Install (or clear, with [None]) a per-message fault injector consulted
-    on every outgoing link transmission. The injector owns its randomness,
-    so schedules replay deterministically from the chaos seed. *)
+(** Install (or clear, with [None]) a fault injector consulted on every
+    outgoing link transmission: each hello and each coalesced frame. The
+    injector owns its randomness, so schedules replay deterministically
+    from the chaos seed. *)
 val set_fault_injector : t -> (peer:node_id -> fault_decision) option -> unit
 
 (** Dedup-window entries evicted / currently retained, for bounded-memory

@@ -1,4 +1,4 @@
-(* Grid-physics co-simulation tests: DC-flow conservation, backend
+(* Grid-physics co-simulation tests: DC-flow conservation, golden
    determinism, islanding, inverse-time protection, and the chi-square
    bad-data loop (false-positive control plus FDIA detection). *)
 
@@ -62,10 +62,10 @@ let prop_solution_deterministic =
       in
       String.equal (run ()) (run ()))
 
-(* Co-simulate the two-corridor cascade on one engine backend and render
-   every observable byte: trip log, shed log, analog image, end state. *)
-let cascade_run backend =
-  let engine = Sim.Engine.create ~seed:4242L ~backend () in
+(* Co-simulate the two-corridor cascade and render every observable
+   byte: trip log, shed log, analog image, end state. *)
+let cascade_run () =
+  let engine = Sim.Engine.create ~seed:4242L () in
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:1000 ()) in
   let net = Power.Net.create ~engine model in
   let open_site s =
@@ -91,15 +91,18 @@ let cascade_run backend =
        (Power.Net.frequency_hz net) (Power.Net.tripped_lines net));
   Buffer.contents b
 
-let test_cascade_deterministic_across_backends () =
-  let heap = cascade_run `Heap in
-  let wheel = cascade_run `Wheel in
-  check "heap run is non-trivial" true (String.length heap > 100);
+(* Captured while a binary-heap queue and the timer wheel still both ran
+   this cascade and agreed byte for byte. *)
+let cascade_golden = "994c0389a90f7c1aa40d6e48311ad21e57e6ca1e96c22d875a5f7327c7da6c74"
+
+let test_cascade_golden () =
+  let run = cascade_run () in
+  check "run is non-trivial" true (String.length run > 100);
   check "at least four trips" true
-    (List.length (String.split_on_char '\n' heap |> List.filter (fun l ->
+    (List.length (String.split_on_char '\n' run |> List.filter (fun l ->
          String.length l > 4 && String.sub l 0 4 = "trip")) >= 4);
-  check_str "heap and wheel runs byte-identical" heap wheel;
-  check_str "same-seed rerun byte-identical" heap (cascade_run `Heap)
+  check_str "render matches golden digest" cascade_golden (Crypto.Sha256.hex_of_string run);
+  check_str "same-seed rerun byte-identical" run (cascade_run ())
 
 let test_islanding_sheds_load () =
   let model = Power.Model.of_scenario (Plc.Power.synthetic ~devices:60 ()) in
@@ -298,7 +301,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_conservation;
     QCheck_alcotest.to_alcotest prop_solution_deterministic;
-    ("cascade deterministic across backends", `Quick, test_cascade_deterministic_across_backends);
+    ("cascade matches golden digest", `Quick, test_cascade_golden);
     ("islanding sheds exactly the dark load", `Quick, test_islanding_sheds_load);
     ("inverse-time trip delay follows formula", `Quick, test_inverse_time_trip_delay);
     ("pending trip cancelled on recovery", `Quick, test_trip_cancelled_on_recovery);

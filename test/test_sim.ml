@@ -225,7 +225,23 @@ let test_engine_stop () =
          Sim.Engine.stop e));
   ignore (Sim.Engine.schedule e ~delay:2.0 (fun () -> incr count));
   Sim.Engine.run e;
-  check_int "stopped after first" 1 !count
+  check_int "stopped after first" 1 !count;
+  (* A stop under a horizon leaves the clock at the stopping event, not
+     at the horizon: the event at t = 2 is still pending. *)
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Engine.stop e));
+  ignore (Sim.Engine.schedule e ~delay:2.0 (fun () -> ()));
+  Sim.Engine.run ~until:10.0 e;
+  check_float "stop at t=1 under until:10 leaves now = 1" 1.0 (Sim.Engine.now e);
+  (* The same holds when [max_events] cuts the run short... *)
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule e ~delay:1.0 (fun () -> ()));
+  ignore (Sim.Engine.schedule e ~delay:2.0 (fun () -> ()));
+  Sim.Engine.run ~until:10.0 ~max_events:1 e;
+  check_float "max_events at t=1 under until:10 leaves now = 1" 1.0 (Sim.Engine.now e);
+  (* ...while a run that finished everything due reaches the horizon. *)
+  Sim.Engine.run ~until:10.0 e;
+  check_float "drained run reaches the horizon" 10.0 (Sim.Engine.now e)
 
 let test_engine_past_rejected () =
   let e = Sim.Engine.create () in
@@ -235,17 +251,16 @@ let test_engine_past_rejected () =
     (Invalid_argument "Engine.schedule_at: time 0.500000000 is in the past (now 1.000000000)")
     (fun () -> ignore (Sim.Engine.schedule_at e ~time:0.5 (fun () -> ())))
 
-(* --- Wheel vs Heap backend equivalence -------------------------------- *)
+(* --- Wheel pop order --------------------------------------------------- *)
 
-(* The timer wheel must pop in exactly (time, schedule-order) order — the
-   heap backend's (key, insertion-seq) — so same-seed runs are
-   byte-identical across backends. These tests drive both backends
-   through identical schedules and compare the full observable firing
-   sequence. Cancels are expressed by schedule-order index because raw
-   event ids differ between backends. *)
+(* The timer wheel must pop in exactly (time, schedule-order) order so
+   same-seed runs are byte-identical. A seeded script drives the engine
+   through every wheel layer (active/L0/L1/overflow), with same-time
+   ties, nested schedules and cancels of earlier schedules, and renders
+   the full observable firing sequence; its SHA-256 is pinned below. *)
 
-let run_backend_script ~backend ~seed ~events ~horizon () =
-  let e = Sim.Engine.create ~backend () in
+let run_script ~seed ~events ~horizon () =
+  let e = Sim.Engine.create () in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let log = Buffer.create 4096 in
   let ids = ref [] in
@@ -272,9 +287,8 @@ let run_backend_script ~backend ~seed ~events ~horizon () =
              (Printf.sprintf "%s@%.9f;" tag (Sim.Engine.now e));
            if depth < 3 && Sim.Rng.int rng 3 = 0 then
              spawn (tag ^ "+") (depth + 1);
-           (* Occasionally cancel a random earlier schedule (may already
-              have fired or been cancelled — both must be no-op-equal
-              across backends). *)
+           (* Occasionally cancel a random earlier schedule (it may
+              already have fired or been cancelled: both are no-ops). *)
            if Sim.Rng.int rng 4 = 0 then
              Sim.Engine.cancel e (nth_id (Sim.Rng.int rng !n_scheduled))))
   in
@@ -290,47 +304,55 @@ let run_backend_script ~backend ~seed ~events ~horizon () =
        (Sim.Engine.now e));
   Buffer.contents log
 
-let test_wheel_heap_identical_schedules () =
+(* Captured when a binary-heap queue and the wheel still both ran these
+   scripts and agreed byte for byte. *)
+let script_goldens =
+  [
+    (1, "a54e3923d710013b27c1c0bc8747b66fb467bf60d8b3b9266eebf89aa247a738");
+    (2, "f6d44d3b297ed079e7480bd83047a8918c40920b63c54a807394d8a0fd784ff6");
+    (3, "aa9d05a38d2374f67c3f17b0c93d407486baa3be409b76ac292a57dcec22f8d0");
+    (42, "93f5e4cb0ebe3c213c7513fdf2a799d982d8153c14a016f9ebf084b3199278d0");
+    (1337, "e278a12b01726686cedc580e255343f7bd1f973ab98f25250c28a8c263a9aeb9");
+  ]
+
+let test_engine_script_goldens () =
   List.iter
-    (fun seed ->
-      let w = run_backend_script ~backend:`Wheel ~seed ~events:60 ~horizon:500.0 () in
-      let h = run_backend_script ~backend:`Heap ~seed ~events:60 ~horizon:500.0 () in
-      check "script produced events" true (String.length w > 100);
-      Alcotest.(check string) (Printf.sprintf "seed %d identical" seed) h w)
-    [ 1; 2; 3; 42; 1337 ]
+    (fun (seed, golden) ->
+      let log = run_script ~seed ~events:60 ~horizon:500.0 () in
+      check "script produced events" true (String.length log > 100);
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d golden" seed)
+        golden (Crypto.Sha256.hex_of_string log))
+    script_goldens
 
 let test_wheel_tie_break_insertion_order () =
   (* Many events at the same instant interleaved with other instants:
-     ties must fire in schedule order on both backends. *)
-  List.iter
-    (fun backend ->
-      let e = Sim.Engine.create ~backend () in
-      let order = ref [] in
-      for i = 0 to 99 do
-        let delay = if i mod 3 = 0 then 1.0 else if i mod 3 = 1 then 2.0 else 1.0 in
-        ignore (Sim.Engine.schedule e ~delay (fun () -> order := i :: !order))
-      done;
-      Sim.Engine.run e;
-      let fired = List.rev !order in
-      let at_1 = List.filter (fun i -> i mod 3 <> 1) fired
-      and at_2 = List.filter (fun i -> i mod 3 = 1) fired in
-      check "ties in insertion order (t=1)" true (List.sort compare at_1 = at_1);
-      check "ties in insertion order (t=2)" true (List.sort compare at_2 = at_2);
-      (* All t=1 events precede all t=2 events. *)
-      let rec split_ok = function
-        | a :: (b :: _ as rest) ->
-            ((a mod 3 <> 1) || b mod 3 = 1) && split_ok rest
-        | _ -> true
-      in
-      check "time order across ties" true (split_ok fired))
-    [ `Wheel; `Heap ]
+     ties must fire in schedule order. *)
+  let e = Sim.Engine.create () in
+  let order = ref [] in
+  for i = 0 to 99 do
+    let delay = if i mod 3 = 0 then 1.0 else if i mod 3 = 1 then 2.0 else 1.0 in
+    ignore (Sim.Engine.schedule e ~delay (fun () -> order := i :: !order))
+  done;
+  Sim.Engine.run e;
+  let fired = List.rev !order in
+  let at_1 = List.filter (fun i -> i mod 3 <> 1) fired
+  and at_2 = List.filter (fun i -> i mod 3 = 1) fired in
+  check "ties in insertion order (t=1)" true (List.sort compare at_1 = at_1);
+  check "ties in insertion order (t=2)" true (List.sort compare at_2 = at_2);
+  (* All t=1 events precede all t=2 events. *)
+  let rec split_ok = function
+    | a :: (b :: _ as rest) -> (a mod 3 <> 1 || b mod 3 = 1) && split_ok rest
+    | _ -> true
+  in
+  check "time order across ties" true (split_ok fired)
 
 let test_wheel_overflow_migration () =
   (* Far-future events park in the overflow heap and must migrate inward
      as the cursor approaches — including events that become due while
      the clock advances through intermediate wheel levels, and new near
      events scheduled from thunks after the far ones were parked. *)
-  let e = Sim.Engine.create ~backend:`Wheel ~hint:16 () in
+  let e = Sim.Engine.create ~hint:16 () in
   let log = ref [] in
   let note tag () = log := (tag, Sim.Engine.now e) :: !log in
   ignore (Sim.Engine.schedule e ~delay:3600.0 (note "far2"));
@@ -350,62 +372,42 @@ let test_wheel_overflow_migration () =
   check_float "clock at last event" 3600.0 (Sim.Engine.now e);
   check_int "queue drained" 0 (Sim.Engine.pending e)
 
-let test_wheel_cancel_parity_both_backends () =
-  (* The cancel-bookkeeping contract (no leak on cancel-after-execute,
-     double cancel counted once, backlog drained on pop, late cancel of
-     a consumed slot ignored) must hold identically on both backends. *)
-  List.iter
-    (fun backend ->
-      let e = Sim.Engine.create ~backend () in
-      let fired = ref false in
-      let id = Sim.Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-      Sim.Engine.cancel e id;
-      Sim.Engine.cancel e id;
-      check_int "double cancel counted once" 1 (Sim.Engine.cancelled_backlog e);
-      Sim.Engine.run e;
-      check "cancelled event did not fire" false !fired;
-      check_int "backlog drained when popped" 0 (Sim.Engine.cancelled_backlog e);
-      Sim.Engine.cancel e id;
-      check_int "late cancel is a no-op" 0 (Sim.Engine.cancelled_backlog e);
-      let id2 = Sim.Engine.schedule e ~delay:1.0 (fun () -> ()) in
-      Sim.Engine.run e;
-      Sim.Engine.cancel e id2;
-      check_int "cancel after execution no leak" 0 (Sim.Engine.cancelled_backlog e))
-    [ `Wheel; `Heap ]
-
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~count:100 ~name:"wheel and heap backends fire identically"
+let prop_wheel_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"wheel pops in delay order minus cancels"
     QCheck.(
       list_of_size Gen.(int_range 1 40)
         (pair (float_bound_exclusive 200.0) (option (int_bound 39))))
     (fun script ->
       (* Each entry schedules an event at the given delay; the optional
          int cancels the schedule with that index (if it exists) right
-         after all schedules are placed. *)
-      let run backend =
-        let e = Sim.Engine.create ~backend () in
-        let log = Buffer.create 256 in
-        let ids =
-          List.mapi
-            (fun i (d, _) ->
-              Sim.Engine.schedule e ~delay:d (fun () ->
-                  Buffer.add_string log
-                    (Printf.sprintf "%d@%.9f;" i (Sim.Engine.now e))))
-            script
-        in
-        let ids = Array.of_list ids in
-        List.iter
-          (fun (_, cancel) ->
-            match cancel with
-            | Some j when j < Array.length ids -> Sim.Engine.cancel e ids.(j)
-            | _ -> ())
-          script;
-        Sim.Engine.run e;
-        Printf.sprintf "%s|%d|%d" (Buffer.contents log)
-          (Sim.Engine.executed_events e)
-          (Sim.Engine.cancelled_backlog e)
+         after all schedules are placed. The oracle is a stable sort of
+         the script by delay with the cancelled indices removed. *)
+      let n = List.length script in
+      let cancelled =
+        List.filter_map
+          (fun (_, c) -> match c with Some j when j < n -> Some j | _ -> None)
+          script
       in
-      String.equal (run `Wheel) (run `Heap))
+      let expected =
+        List.mapi (fun i (d, _) -> (i, d)) script
+        |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
+        |> List.filter (fun (i, _) -> not (List.mem i cancelled))
+      in
+      let e = Sim.Engine.create () in
+      let fired = ref [] in
+      let ids =
+        Array.of_list
+          (List.mapi
+             (fun i (d, _) ->
+               Sim.Engine.schedule e ~delay:d (fun () ->
+                   fired := (i, Sim.Engine.now e) :: !fired))
+             script)
+      in
+      List.iter (fun j -> Sim.Engine.cancel e ids.(j)) cancelled;
+      Sim.Engine.run e;
+      List.rev !fired = expected
+      && Sim.Engine.executed_events e = List.length expected
+      && Sim.Engine.cancelled_backlog e = 0)
 
 let prop_engine_event_times_monotone =
   QCheck.Test.make ~count:100 ~name:"engine executes events in non-decreasing time order"
@@ -590,10 +592,9 @@ let suite =
     ("engine periodic timer", `Quick, test_engine_periodic_timer);
     ("engine stop", `Quick, test_engine_stop);
     ("engine rejects past", `Quick, test_engine_past_rejected);
-    ("wheel/heap identical schedules", `Quick, test_wheel_heap_identical_schedules);
+    ("engine schedules match golden digests", `Quick, test_engine_script_goldens);
     ("wheel tie-break insertion order", `Quick, test_wheel_tie_break_insertion_order);
     ("wheel overflow migration", `Quick, test_wheel_overflow_migration);
-    ("wheel/heap cancel parity", `Quick, test_wheel_cancel_parity_both_backends);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile small", `Quick, test_stats_percentile_small);
     ("stats percentile edges", `Quick, test_stats_percentile_edges);
@@ -604,7 +605,7 @@ let suite =
     ("trace ring buffer", `Quick, test_trace_ring_buffer);
     ("strx basics", `Quick, test_strx_basics);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+    QCheck_alcotest.to_alcotest prop_wheel_matches_oracle;
     QCheck_alcotest.to_alcotest prop_engine_event_times_monotone;
     QCheck_alcotest.to_alcotest prop_stats_mean_matches_naive;
     QCheck_alcotest.to_alcotest prop_strx_contains_matches_naive;
