@@ -466,18 +466,18 @@ let monitor duration poll tail shards devices json_file =
   Array.iter Spire.Scenario_driver.stop drivers;
   Sim.Engine.cancel_timer engine sampler;
   let sample = Obs.Probe.sample probes in
-  (* Sum the scada state counters across every replica probe (shard
-     suffixes included): how digest reads split between cached-root
-     lookups and full recomputes, and how often a snapshot blob was
-     actually re-encoded. *)
+  (* Sum the scada state counters over every replica of every shard:
+     how digest reads split between cached-root lookups and full
+     recomputes, and how often a snapshot blob was actually re-encoded. *)
   let digest_cached, digest_recompute, serializations =
-    List.fold_left
-      (fun (c, r, s) (name, metrics) ->
-        if String.length name >= 12 && String.equal (String.sub name 0 12) "scada.state." then
-          let get k = match List.assoc_opt k metrics with Some v -> int_of_float v | None -> 0 in
-          (c + get "digest_cached", r + get "digest_recompute", s + get "serialize")
-        else (c, r, s))
-      (0, 0, 0) sample
+    Array.fold_left
+      (fun acc d ->
+        Array.fold_left
+          (fun (c, r, s) rb ->
+            let c', r', s' = Scada.State.stats (Scada.Master.state rb.Spire.Deployment.r_master) in
+            (c + c', r + r', s + s'))
+          acc (Spire.Deployment.replicas d))
+      (0, 0, 0) deployments
   in
   let alarms = Obs.Alert.alarms alert in
   let events = Obs.Flight.events flight in

@@ -1,21 +1,9 @@
-(** Telemetry export: JSONL event/metric dump plus helpers for the
-    [--json] machine-readable bench output. *)
+(** Telemetry export: helpers for the [--json] machine-readable bench
+    output and the Section-V reaction-time decomposition. *)
 
 (** A [Sim.Stats.Summary] as a JSON object with [count] and, when
     non-empty, [mean]/[stddev]/[min]/[p50]/[p99]/[max]. *)
 val summary_to_json : Sim.Stats.Summary.t -> Json.t
-
-(** One self-describing JSON line per counter, gauge, histogram, span,
-    and completed pipeline instance. *)
-val jsonl_of_registry : Registry.t -> string list
-
-val write_jsonl : out_channel -> Registry.t -> unit
-
-val jsonl_to_string : Registry.t -> string
-
-(** Parse a JSONL dump into [(type, json)] rows; raises
-    [Json.Parse_error] on malformed lines. *)
-val parse_jsonl : string -> (string * Json.t) list
 
 (** The Section-V reaction-time decomposition as
     [(label, from_stage, to_stage)]; consecutive stages telescope, so

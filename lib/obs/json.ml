@@ -28,7 +28,7 @@ let escape buf s =
 
 let add_num buf x =
   (* JSON has no NaN/Infinity literals; emit null rather than a token no
-     parser accepts (empty-histogram percentiles are NaN, for one). *)
+     parser accepts (empty-summary percentiles are NaN, for one). *)
   if Float.is_nan x || Float.abs x = Float.infinity then Buffer.add_string buf "null"
   else if Float.is_integer x |> not || Float.abs x >= 1e15 then
     (* %.12g survives a round-trip for every float we emit. *)

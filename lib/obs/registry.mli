@@ -1,8 +1,8 @@
-(** Telemetry registry: counters, gauges, histograms, and the span store
-    behind one default-off [enabled] switch. Recording functions cost a
-    load and a branch when disabled, and instrumentation is purely
-    passive, so telemetry off leaves the deterministic simulation
-    schedule bit-identical. *)
+(** Telemetry registry: the pipeline-mark span store behind one
+    default-off [enabled] switch. Marks cost a load and a branch when
+    disabled, and instrumentation is purely passive, so telemetry off
+    leaves the deterministic simulation schedule bit-identical. Counts
+    live in each module's own [Sim.Stats.Counter] table, not here. *)
 
 type t
 
@@ -18,14 +18,8 @@ val stage_repaint : string
 val stage_command : string
 val stage_actuate : string
 
-val pipeline_opens : string list
-val pipeline_closes : string list
-
-(** Fresh registry, disabled, with the standard pipeline stage
-    configuration unless overridden. [?span_capacity] bounds the span
-    store's retained completed instances (see
-    {!Span.create_store}). *)
-val create : ?span_capacity:int -> ?opens:string list -> ?closes:string list -> unit -> t
+(** Fresh registry, disabled, over the standard pipeline stages. *)
+val create : unit -> t
 
 (** The global registry the stack's instrumentation records into. *)
 val default : t
@@ -34,42 +28,13 @@ val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
 
-(** {2 Recording — no-ops while disabled} *)
-
-val incr : ?by:int -> t -> string -> unit
-
-val set_gauge : t -> string -> float -> unit
-
-(** Observe into a named histogram, created on first use (with [edges]
-    if given, default edges otherwise). *)
-val observe : ?edges:float array -> t -> string -> float -> unit
-
-(** Record a pipeline stage mark (see {!Span.mark}). *)
+(** Record a pipeline stage mark (see {!Span.mark}); a no-op while
+    disabled. *)
 val mark : t -> trace:string -> stage:string -> time:float -> unit
-
-(** Open a generic span; returns 0 when disabled. *)
-val span_start : t -> name:string -> ?parent:int -> time:float -> unit -> int
-
-val span_finish : t -> int -> time:float -> unit
-
-(** {2 Reading} *)
-
-val counter : t -> string -> int
-
-val gauge : t -> string -> float option
-
-val histogram : t -> string -> Histogram.t option
-
-(** Sorted by name. *)
-val counters : t -> (string * int) list
-
-val gauges : t -> (string * float) list
-
-val histograms : t -> (string * Histogram.t) list
 
 val spans : t -> Span.store
 
-(** Drop all recorded data (keeps the enabled flag and stage config). *)
+(** Drop all recorded marks (keeps the enabled flag). *)
 val reset : t -> unit
 
 (** [with_enabled t f]: reset [t], enable it, run [f], restore the

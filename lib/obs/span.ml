@@ -1,39 +1,20 @@
-(* Causal span tracing.
+(* Causal span tracing over pipeline instances.
 
-   Two layers:
+   The SCADA data path is a fixed stage sequence (flip -> proxy.report ->
+   prime.accept -> prime.preorder -> prime.execute -> hmi.repaint)
+   correlated by an out-of-band trace key — the canonical Scada.Op
+   encoding, which already flows end to end unchanged. Embedding ids in
+   messages would perturb the deterministic schedule (different sizes,
+   different dedup), so instrumentation points instead call [mark] with
+   the key they already have.
 
-   - Generic spans: named intervals with an optional parent, opened with
-     [start] and closed with [finish]. These model nested work (a view
-     change containing its retransmissions, a bench experiment containing
-     its runs).
-
-   - Pipeline instances: the SCADA data path is a fixed stage sequence
-     (flip -> proxy.report -> prime.accept -> prime.preorder ->
-     prime.execute -> hmi.repaint) correlated by an out-of-band trace key
-     — the canonical Scada.Op encoding, which already flows end to end
-     unchanged. Embedding ids in messages would perturb the deterministic
-     schedule (different sizes, different dedup), so instrumentation
-     points instead call [mark] with the key they already have.
-
-     An *opening* stage begins a new instance for its key (abandoning any
-     still-open one — a flip that never reached the HMI); a *closing*
-     stage completes it. Every stage records only its first occurrence
-     per instance: replicas re-broadcast and retransmit, but causally the
-     stage happened when it first happened. Marks with no open instance
-     (e.g. periodic status polls that aren't part of a watched flip) are
-     counted and dropped. *)
-
-(* --- Generic parent/child spans ------------------------------------- *)
-
-type span = {
-  id : int;
-  name : string;
-  parent : int option;
-  start_time : float;
-  mutable end_time : float option;
-}
-
-(* --- Pipeline instances --------------------------------------------- *)
+   An *opening* stage begins a new instance for its key (abandoning any
+   still-open one — a flip that never reached the HMI); a *closing* stage
+   completes it. Every stage records only its first occurrence per
+   instance: replicas re-broadcast and retransmit, but causally the stage
+   happened when it first happened. Marks with no open instance (e.g.
+   periodic status polls that aren't part of a watched flip) are counted
+   and dropped. *)
 
 type instance = {
   trace : string;
@@ -52,8 +33,6 @@ type store = {
   mutable completed_n : int; (* instances ever completed *)
   mutable abandoned : int; (* re-opened before closing *)
   mutable orphans : int; (* marks with no open instance *)
-  spans : (int, span) Hashtbl.t;
-  mutable next_span : int;
 }
 
 let dummy_instance = { trace = ""; marks = []; complete = false }
@@ -78,8 +57,6 @@ let create_store ?capacity ?(opens = []) ?(closes = []) () =
     completed_n = 0;
     abandoned = 0;
     orphans = 0;
-    spans = Hashtbl.create 64;
-    next_span = 0;
   }
 
 (* Append a completed instance, overwriting the oldest once the
@@ -105,33 +82,6 @@ let push_completed store inst =
     store.completed_len <- store.completed_len + 1
   end;
   store.completed_n <- store.completed_n + 1
-
-(* Generic spans *)
-
-let start store ~name ?parent ~time () =
-  store.next_span <- store.next_span + 1;
-  let id = store.next_span in
-  Hashtbl.replace store.spans id { id; name; parent; start_time = time; end_time = None };
-  id
-
-let finish store id ~time =
-  match Hashtbl.find_opt store.spans id with
-  | Some s when s.end_time = None -> s.end_time <- Some time
-  | Some _ | None -> ()
-
-let span store id = Hashtbl.find_opt store.spans id
-
-let duration s = Option.map (fun e -> e -. s.start_time) s.end_time
-
-let children store id =
-  Hashtbl.fold (fun _ s acc -> if s.parent = Some id then s :: acc else acc) store.spans []
-  |> List.sort (fun a b -> Float.compare a.start_time b.start_time)
-
-let all_spans store =
-  Hashtbl.fold (fun _ s acc -> s :: acc) store.spans []
-  |> List.sort (fun a b -> Stdlib.compare a.id b.id)
-
-(* Pipeline instances *)
 
 let mark store ~trace ~stage ~time =
   if Hashtbl.mem store.opens stage then begin
@@ -200,9 +150,7 @@ let reset store =
   store.completed_start <- 0;
   store.completed_n <- 0;
   store.abandoned <- 0;
-  store.orphans <- 0;
-  Hashtbl.reset store.spans;
-  store.next_span <- 0
+  store.orphans <- 0
 
 (* Trace keys: the canonical Scada.Op encodings. Building them here (not
    via Scada.Op) keeps obs below scada in the dependency order. *)

@@ -1,15 +1,7 @@
-(** Causal span tracing: generic parent/child spans plus pipeline
-    instances — fixed stage sequences correlated by an out-of-band trace
-    key (the canonical [Scada.Op] encoding), so instrumentation never
-    changes message contents or the deterministic schedule. *)
-
-type span = {
-  id : int;
-  name : string;
-  parent : int option;
-  start_time : float;
-  mutable end_time : float option;
-}
+(** Causal span tracing over pipeline instances — fixed stage sequences
+    correlated by an out-of-band trace key (the canonical [Scada.Op]
+    encoding), so instrumentation never changes message contents or the
+    deterministic schedule. *)
 
 type instance = {
   trace : string;
@@ -25,25 +17,6 @@ type store
     (oldest evicted first — [completed_count] stays exact); raises
     [Invalid_argument] on [capacity <= 0]. *)
 val create_store : ?capacity:int -> ?opens:string list -> ?closes:string list -> unit -> store
-
-(** {2 Generic spans} *)
-
-(** Open a named span; returns its id. *)
-val start : store -> name:string -> ?parent:int -> time:float -> unit -> int
-
-(** Close a span (idempotent; unknown ids ignored). *)
-val finish : store -> int -> time:float -> unit
-
-val span : store -> int -> span option
-
-(** [end - start] once finished. *)
-val duration : span -> float option
-
-(** Direct children, ordered by start time. *)
-val children : store -> int -> span list
-
-(** Every span, ordered by id (creation order). *)
-val all_spans : store -> span list
 
 (** {2 Pipeline instances} *)
 

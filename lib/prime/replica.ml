@@ -239,21 +239,17 @@ let broadcast t msg = if not (silent t) then t.transport.broadcast msg
 (* --- amortized crypto pipeline ---------------------------------------- *)
 
 let count_sign t =
-  Sim.Stats.Counter.incr t.counters "crypto.sign";
-  Obs.Registry.incr Obs.Registry.default "crypto.sign"
+  Sim.Stats.Counter.incr t.counters "crypto.sign"
 
 let count_check t = function
   | `Hit ->
       Sim.Stats.Counter.incr t.counters "crypto.cache_hit";
-      Obs.Registry.incr Obs.Registry.default "crypto.cache_hit";
       true
   | `Valid ->
       Sim.Stats.Counter.incr t.counters "crypto.verify";
-      Obs.Registry.incr Obs.Registry.default "crypto.verify";
       true
   | `Invalid ->
       Sim.Stats.Counter.incr t.counters "crypto.verify";
-      Obs.Registry.incr Obs.Registry.default "crypto.verify";
       false
 
 (* Direct (unbatched) signing: summaries, pre-prepares, view-change
@@ -302,15 +298,12 @@ let flush_outbox t =
       count_sign t;
       Sim.Stats.Counter.incr t.counters "crypto.batch_flush";
       Sim.Stats.Counter.incr t.counters "crypto.batch_msgs";
-      Obs.Registry.observe Obs.Registry.default "crypto.batch_size" 1.0;
       emit (Crypto.Auth.sign t.keypair body)
   | items ->
       let bodies = Array.of_list (List.map fst items) in
       count_sign t;
       Sim.Stats.Counter.incr t.counters "crypto.batch_flush";
       Sim.Stats.Counter.incr ~by:(Array.length bodies) t.counters "crypto.batch_msgs";
-      Obs.Registry.observe Obs.Registry.default "crypto.batch_size"
-        (float_of_int (Array.length bodies));
       let auths = Crypto.Auth.sign_batch t.keypair bodies in
       List.iteri (fun i (_, emit) -> emit auths.(i)) items
 
@@ -387,7 +380,6 @@ let handle_client_update t (u : Msg.Update.t) =
   else begin
     Obs.Registry.mark Obs.Registry.default ~trace:u.Msg.Update.op
       ~stage:Obs.Registry.stage_accept ~time:(now t);
-    Obs.Registry.incr Obs.Registry.default "prime.update.accepted";
     let po_seq = Preorder.assign t.preorder u in
     Sim.Stats.Counter.incr t.counters "update.accepted";
     let body = Msg.encode_po_request ~origin:t.id ~po_seq u in
@@ -520,7 +512,6 @@ let execute_ready t =
         if not (Hashtbl.mem t.executed_clients (Msg.Update.key u)) then begin
           Hashtbl.replace t.executed_clients (Msg.Update.key u) exec_seq;
           Sim.Stats.Counter.incr t.counters "executed";
-          Obs.Registry.incr Obs.Registry.default "prime.executed";
           Obs.Registry.mark Obs.Registry.default ~trace:u.Msg.Update.op
             ~stage:Obs.Registry.stage_execute ~time:(now t);
           t.app.apply ~exec_seq u;

@@ -123,7 +123,6 @@ let persist_checkpoint t ck =
      checkpoint now on disk. *)
   ignore (Store.Wal.gc_before t.wal ~segment:(Store.Wal.current_segment t.wal));
   Sim.Stats.Counter.incr t.counters "durable.checkpoint";
-  Obs.Registry.incr Obs.Registry.default "store.checkpoint";
   if flight_on () then
     flight ~severity:Obs.Flight.Info ~kind:"checkpoint.persist"
       (Printf.sprintf "replica %d checkpointed exec %d"
@@ -378,7 +377,6 @@ let install_from_peer t ck =
       persist_checkpoint t ck;
       t.transfer_bytes <- t.transfer_bytes + Store.Checkpoint.size ck;
       Sim.Stats.Counter.incr t.counters "durable.peer_install";
-      Obs.Registry.incr Obs.Registry.default "store.transfer";
       if flight_on () then
         flight ~severity:Obs.Flight.Warn ~kind:"checkpoint.install"
           (Printf.sprintf "replica %d adopted peer checkpoint at exec %d (%d bytes)"

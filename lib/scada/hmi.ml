@@ -63,7 +63,6 @@ let energized_loads t =
 (* Operator action: open or close a breaker from the screen. *)
 let command t ~breaker ~close =
   Sim.Stats.Counter.incr t.counters "command.issued";
-  Obs.Registry.incr Obs.Registry.default "hmi.command.issued";
   Obs.Registry.mark Obs.Registry.default
     ~trace:(Obs.Span.command_key ~breaker ~close)
     ~stage:Obs.Registry.stage_command ~time:(Sim.Engine.now t.engine);
@@ -80,7 +79,6 @@ let apply_display_update t ~exec_seq ~breaker ~closed =
         if cell.closed <> closed then begin
           cell.closed <- closed;
           Sim.Stats.Counter.incr t.counters "display.changed";
-          Obs.Registry.incr Obs.Registry.default "hmi.display.changed";
           (* The Section V measurement point: the repaint closes the
              status pipeline opened by the physical flip. *)
           Obs.Registry.mark Obs.Registry.default

@@ -94,7 +94,6 @@ let submit_changes t changes =
   List.iter
     (fun (name, closed) ->
       Sim.Stats.Counter.incr t.counters "status.reported";
-      Obs.Registry.incr Obs.Registry.default "proxy.status.reported";
       Obs.Registry.mark Obs.Registry.default
         ~trace:(Op.encode (Op.Status { breaker = name; closed }))
         ~stage:Obs.Registry.stage_report ~time:now)
@@ -106,7 +105,6 @@ let submit_changes t changes =
   | reports ->
       t.batch_cursor <- t.batch_cursor + 1;
       Sim.Stats.Counter.incr t.counters "status.batched";
-      Obs.Registry.incr Obs.Registry.default "proxy.status.batched";
       let op = Op.Batch { origin = t.name; cursor = t.batch_cursor; reports } in
       ignore (Prime.Client.submit t.client ~op:(Op.encode op))
 
@@ -158,7 +156,6 @@ let handle_breaker_command t ~rep ~exec_seq ~breaker ~close signature =
       match coil_of_breaker t breaker with
       | Some coil ->
           Sim.Stats.Counter.incr t.counters "command.actuated";
-          Obs.Registry.incr Obs.Registry.default "proxy.command.actuated";
           Obs.Registry.mark Obs.Registry.default
             ~trace:(Obs.Span.command_key ~breaker ~close)
             ~stage:Obs.Registry.stage_actuate ~time:(Sim.Engine.now t.engine);

@@ -289,7 +289,6 @@ let transmit_link t ~ip inner =
     Link_msg { auth = compute_auth t inner; encrypted = t.config.group_key <> None; inner }
   in
   Sim.Stats.Counter.incr t.counters "link.tx";
-  Obs.Registry.incr Obs.Registry.default "spines.link.tx";
   Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port
     ~size:(inner_size inner) msg
 
@@ -372,9 +371,6 @@ let rec metas_match metas inners =
    transmits without allocating a thunk. *)
 let transmit_frame t ~ip ~size ~header inners =
   Sim.Stats.Counter.incr t.counters "link.tx";
-  Obs.Registry.incr Obs.Registry.default "spines.link.tx";
-  Obs.Registry.observe Obs.Registry.default "spines.frame.msgs"
-    (float_of_int (List.length inners));
   Netbase.Host.udp_send t.host ~dst_ip:ip ~dst_port:t.config.port ~src_port:t.config.port
     ~size
     (Link_frame { fr_auth = frame_auth t header; fr_header = header; fr_inners = inners })
@@ -450,7 +446,6 @@ let enqueue_link t ~to_ ~prio ~origin inner =
   let dropped = Egress.drops es.eq - before in
   if dropped > 0 then begin
     Sim.Stats.Counter.incr ~by:dropped t.counters "egress.drop";
-    Obs.Registry.incr ~by:dropped Obs.Registry.default "spines.egress.drop";
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
         ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"egress.drop"
@@ -462,16 +457,11 @@ let enqueue_link t ~to_ ~prio ~origin inner =
 
 let ensure_route_table t =
   let ep = Topology.View.epoch t.view in
-  if t.route_table_epoch = ep then begin
-    Sim.Stats.Counter.incr t.counters "route.cache_hit";
-    Obs.Registry.incr Obs.Registry.default "spines.route.cache_hit"
-  end
+  if t.route_table_epoch = ep then Sim.Stats.Counter.incr t.counters "route.cache_hit"
   else begin
     Sim.Stats.Counter.incr t.counters "route.cache_miss";
     Sim.Stats.Counter.incr t.counters "route.rebuild";
     Sim.Stats.Counter.incr t.counters "route.dijkstra";
-    Obs.Registry.incr Obs.Registry.default "spines.route.cache_miss";
-    Obs.Registry.incr Obs.Registry.default "spines.route.rebuild";
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
         ~severity:Obs.Flight.Info ~subsystem:"spines" ~kind:"route.rebuild"
@@ -502,7 +492,6 @@ let live_neighbors t =
 let deliver_local t (d : data) =
   let deliver_to client_id client =
     Sim.Stats.Counter.incr t.counters "deliver";
-    Obs.Registry.incr Obs.Registry.default "spines.deliver";
     ignore client_id;
     client.handler ~src:(d.origin, d.origin_client) ~size:d.app_size d.app_payload
   in
@@ -574,7 +563,6 @@ let forward_data t ~from (d : data) =
   if evicted > 0 then Sim.Stats.Counter.incr ~by:evicted t.counters "dedup.evicted";
   if not fresh then Sim.Stats.Counter.incr t.counters "dedup.drop"
   else begin
-    Obs.Registry.incr Obs.Registry.default "spines.data.forwarded";
     (* Source fairness: a flooding origin is clipped at every honest hop. *)
     let admitted = (not t.config.it_mode) || d.origin = t.id || within_rate t d.origin in
     if not admitted then Sim.Stats.Counter.incr t.counters "fairness.clipped"
@@ -715,7 +703,6 @@ let receive t ~src ~dst_port:_ ~size:_ payload =
                   List.iter (fun i -> handle_inner t ~from i) fr_inners
               | Some _ | None ->
                   Sim.Stats.Counter.incr t.counters "frame.malformed";
-                  Obs.Registry.incr Obs.Registry.default "spines.frame.malformed";
                   if Obs.Flight.recording Obs.Flight.default then
                     Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)
                       ~severity:Obs.Flight.Warn ~subsystem:"spines" ~kind:"frame.malformed"

@@ -381,6 +381,57 @@ let test_full_red_team_scenario_boots () =
   check "remote substation breaker opened" false
     (Plc.Breaker.is_closed (main_breaker d "DIST-03/B1"))
 
+(* --- telemetry passivity -------------------------------------------------------- *)
+
+(* One E4-style plant run: the Section V flip probe on B57. Returns, per
+   replica, the final exec_seq and the Prime and both Spines counter
+   tables. *)
+let plant_run () =
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let config = Prime.Config.power_plant () in
+  let d = Spire.Deployment.create ~engine ~trace ~config mini_scenario in
+  run engine ~until:3.0;
+  let samples = 5 in
+  let _, completed =
+    Spire.Measure.spire_reaction_time ~deployment:d ~breaker:"B57" ~samples ~gap:1.5 ()
+  in
+  run engine ~until:(3.0 +. (1.5 *. float_of_int (samples + 4)));
+  check_int "all flips measured" samples !completed;
+  Array.map
+    (fun r ->
+      let counts c = Sim.Stats.Counter.to_sorted_list c in
+      ( Prime.Replica.exec_seq r.Spire.Deployment.r_replica,
+        counts (Prime.Replica.counters r.Spire.Deployment.r_replica),
+        counts (Spines.Node.counters r.Spire.Deployment.r_internal_node),
+        counts (Spines.Node.counters r.Spire.Deployment.r_external_node) ))
+    (Spire.Deployment.replicas d)
+
+let test_registry_passive_on_deployment () =
+  (* Switching the pipeline-mark registry on must not move one protocol
+     event: every replica ends at the same exec_seq with the same Prime
+     and Spines counters as the dark run. *)
+  let reg = Obs.Registry.default in
+  let on, traced =
+    Obs.Registry.with_enabled reg (fun () ->
+        let r = plant_run () in
+        (r, Obs.Span.completed_count (Obs.Registry.spans reg)))
+  in
+  Obs.Registry.reset reg;
+  let off = plant_run () in
+  check "registry on run traced pipelines" true (traced > 0);
+  check_int "dark run traced nothing" 0 (Obs.Span.completed_count (Obs.Registry.spans reg));
+  check_int "same replica count" (Array.length off) (Array.length on);
+  Array.iteri
+    (fun i (exec_off, prime_off, internal_off, external_off) ->
+      let exec_on, prime_on, internal_on, external_on = on.(i) in
+      let label what = Printf.sprintf "replica %d %s" i what in
+      check_int (label "exec_seq") exec_off exec_on;
+      check (label "prime counters") true (prime_off = prime_on);
+      check (label "internal spines counters") true (internal_off = internal_on);
+      check (label "external spines counters") true (external_off = external_on))
+    off
+
 let suite =
   [
     ("status propagates to hmi", `Quick, test_status_propagates_to_hmi);
@@ -399,6 +450,7 @@ let suite =
     ("full red team scenario boots", `Slow, test_full_red_team_scenario_boots);
     ("grid sharded end to end", `Quick, test_grid_sharded_end_to_end);
     ("grid shard crash isolated", `Quick, test_grid_shard_crash_isolated);
+    ("registry passive on deployment", `Slow, test_registry_passive_on_deployment);
   ]
 
 let () = Alcotest.run "core" [ ("core", suite) ]
