@@ -4,8 +4,9 @@
    The inner/outer key blocks depend only on the key, so a [schedule]
    absorbs them once; each subsequent MAC under the same key copies the
    two contexts instead of re-deriving and re-compressing the padded key
-   blocks. Long-lived keys (replica signing keys) pay the key setup once
-   per key rather than twice per message. *)
+   blocks. Long-lived keys pay the key setup once per key rather than
+   twice per message: replica signing keys, and the group key every
+   Spines daemon and session client schedules when it is created. *)
 
 let block_size = 64
 
@@ -57,5 +58,7 @@ let equal_tags expected tag =
   !diff = 0
 
 let verify_sched sched ~tag message = equal_tags (mac_sched sched message) tag
+
+let verify_list_sched sched ~tag parts = equal_tags (mac_list_sched sched parts) tag
 
 let verify ~key ~tag message = equal_tags (mac ~key message) tag

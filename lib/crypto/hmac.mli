@@ -12,7 +12,11 @@ val verify : key:string -> tag:string -> string -> bool
 
 (** Precomputed key schedule: the inner and outer padded-key blocks are
     absorbed once, so each MAC under a long-lived key costs two context
-    copies instead of two key-block compressions plus key normalization. *)
+    copies instead of two key-block compressions plus key normalization.
+    A schedule is never mutated, so one can serve any number of MACs and
+    verifies. Users: the keystore signatures ([Signature]) and Spines,
+    whose daemons and session clients schedule their link key once when
+    they are created. *)
 type schedule
 
 val schedule : key:string -> schedule
@@ -22,3 +26,7 @@ val mac_sched : schedule -> string -> string
 val mac_list_sched : schedule -> string list -> string
 
 val verify_sched : schedule -> tag:string -> string -> bool
+
+(** [verify_list_sched sched ~tag parts] checks a tag over the
+    concatenation of [parts]. *)
+val verify_list_sched : schedule -> tag:string -> string list -> bool

@@ -4,11 +4,22 @@
    whole system depends on is implemented here and checked against the
    FIPS test vectors in the test suite.
 
-   Implementation notes: state and message schedule use native [int]s
-   masked to 32 bits — OCaml's 63-bit immediates avoid the boxing that
-   Int32 arithmetic would cause, and this hash runs on every simulated
-   protocol message. Padding follows the spec exactly (append 0x80, pad
-   to 56 mod 64, append 64-bit big-endian bit length). *)
+   Implementation notes. This hash runs on every simulated protocol
+   message (link MACs, signatures, Merkle nodes), so the kernel is the
+   simulator's hottest loop.
+   - State and message schedule are native [int]s holding 32-bit words:
+     OCaml's 63-bit immediates avoid the boxing Int32 arithmetic causes.
+     Sums are masked only where a word feeds a rotate or the state.
+   - A rotate right by [n] is one shift of the word copied into its own
+     upper half: [(x lor (x lsl 32)) lsr n], masked to 32 bits. The copy
+     loses bit 31 off the top of the 63-bit int, but a rotate by 1..31
+     never reads it, and SHA-256 only rotates by 2..25. Each sigma
+     function builds the doubled word once and masks once.
+   - Block words load with [Bytes.get_int32_be]; the fixed 64-entry [k]
+     and [w] arrays are read without bounds checks.
+   - [finalize] pads in place in the block buffer (0x80, zeros to 56 mod
+     64, the 64-bit big-endian bit length) and compresses once or twice;
+     it allocates only the 32-byte digest. *)
 
 type digest = string (* 32 raw bytes *)
 
@@ -29,9 +40,13 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+(* The 64-entry message schedule is scratch for one compression, so one
+   array serves every context. [compress] never calls out, so the
+   single-threaded simulator cannot re-enter it. *)
+let w = Array.make 64 0
+
 type ctx = {
   state : int array; (* 8 words, each < 2^32 *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total_len : int; (* bytes; simulator messages stay well below 2^59 *)
@@ -44,48 +59,56 @@ let init () =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
-    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total_len = 0;
   }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The four sigma functions; [x] must be < 2^32. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)) land mask
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)) land mask
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)) land mask
 
 let compress ctx block off =
-  let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block base) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (base + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (i * 4))) land mask)
   done;
   for i = 16 to 63 do
-    let x15 = w.(i - 15) and x2 = w.(i - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + Array.unsafe_get w (i - 7)
+       + small_sigma1 (Array.unsafe_get w (i - 2)))
+      land mask)
   done;
   let state = ctx.state in
   let a = ref state.(0) and b = ref state.(1) and c = ref state.(2) and d = ref state.(3) in
   let e = ref state.(4) and f = ref state.(5) and g = ref state.(6) and h = ref state.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 = (!h + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let e' = !e and a' = !a in
+    let ch = !g lxor (e' land (!f lxor !g)) in
+    let t1 = !h + big_sigma1 e' + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let maj = (a' land !b) lor (!c land (a' lor !b)) in
     h := !g;
     g := !f;
-    f := !e;
-    e := (!d + temp1) land mask;
+    f := e';
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask
+    b := a';
+    a := (t1 + big_sigma0 a' + maj) land mask
   done;
   state.(0) <- (state.(0) + !a) land mask;
   state.(1) <- (state.(1) + !b) land mask;
@@ -127,39 +150,25 @@ let feed_string ctx s =
 
 let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 
-(* Independent continuation of a partially-fed context. The message
-   schedule is per-compression scratch, so a fresh one is fine. *)
-let copy ctx =
-  {
-    state = Array.copy ctx.state;
-    w = Array.make 64 0;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total_len = ctx.total_len;
-  }
+(* Independent continuation of a partially-fed context. *)
+let copy ctx = { ctx with state = Array.copy ctx.state; buf = Bytes.copy ctx.buf }
 
 let finalize ctx =
-  let bit_len = ctx.total_len * 8 in
-  let pad_len =
-    let rem = ctx.total_len mod 64 in
-    if rem < 56 then 56 - rem else 120 - rem
-  in
-  let padding = Bytes.make pad_len '\000' in
-  Bytes.set padding 0 '\x80';
-  let length_block = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set length_block i (Char.chr ((bit_len lsr (56 - (8 * i))) land 0xFF))
-  done;
-  feed_string ctx (Bytes.unsafe_to_string padding);
-  feed_string ctx (Bytes.unsafe_to_string length_block);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  (* No room for the length after the 0x80: pad this block out, compress
+     it, and put the length in a block of zeros. *)
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total_len * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let word = ctx.state.(i) in
-    Bytes.set out (i * 4) (Char.chr ((word lsr 24) land 0xFF));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((word lsr 16) land 0xFF));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((word lsr 8) land 0xFF));
-    Bytes.set out ((i * 4) + 3) (Char.chr (word land 0xFF))
+    Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.state.(i))
   done;
   Bytes.unsafe_to_string out
 

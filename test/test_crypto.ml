@@ -34,18 +34,37 @@ let test_sha256_million_a () =
     (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx))
 
 let test_sha256_padding_boundaries () =
-  (* Lengths around the 55/56/64-byte padding boundaries must round-trip
-     identically through one-shot and streaming APIs. *)
+  (* Lengths around the 55/56/64-byte padding boundaries, where [finalize]
+     switches between one and two padding blocks. Both the one-shot and
+     the byte-at-a-time streaming paths must give the absolute digest
+     (from Python's hashlib): comparing the two paths with each other
+     alone would miss a padding bug they share. *)
   List.iter
-    (fun n ->
+    (fun (n, expected) ->
       let s = String.init n (fun i -> Char.chr (i mod 251)) in
       let ctx = Crypto.Sha256.init () in
       String.iter (fun c -> Crypto.Sha256.feed_string ctx (String.make 1 c)) s;
+      check_str (Printf.sprintf "one-shot length %d" n) expected (Crypto.Sha256.hex_of_string s);
       check_str
-        (Printf.sprintf "length %d" n)
-        (Crypto.Sha256.to_hex (Crypto.Sha256.digest s))
+        (Printf.sprintf "streaming length %d" n)
+        expected
         (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
-    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 129 ]
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (54, "675f28acc0b90a72d1c3a570fe83ac565555db358cf01826dc8eefb2bf7ca0f3");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+      (129, "5099c6a56203f9687f7d33f4bfdf576d31dc91f6b695ecea38b2770c87631135");
+    ]
 
 let prop_sha256_split_invariance =
   QCheck.Test.make ~count:300 ~name:"sha256 digest is split-invariant"
@@ -226,6 +245,33 @@ let prop_hmac_schedule_equals_mac =
       Crypto.Hmac.mac_sched sched msg = Crypto.Hmac.mac ~key msg
       && Crypto.Hmac.verify_sched sched ~tag:(Crypto.Hmac.mac ~key msg) msg)
 
+let prop_hmac_schedule_reused =
+  (* A Spines daemon keeps one schedule for its whole life: 50 interleaved
+     MACs and verifies through it must each match a MAC under a freshly
+     scheduled key, so no call may leave the shared contexts mutated. *)
+  QCheck.Test.make ~count:100 ~name:"hmac one schedule serves 50 interleaved calls"
+    QCheck.(
+      pair
+        (string_of_size Gen.(int_range 1 131))
+        (list_of_size (Gen.return 50)
+           (triple (int_range 0 2) (string_of_size Gen.(int_range 0 600)) small_nat)))
+    (fun (key, ops) ->
+      let sched = Crypto.Hmac.schedule ~key in
+      List.for_all
+        (fun (op, msg, cut) ->
+          let expected = Crypto.Hmac.mac ~key msg in
+          match op with
+          | 0 -> Crypto.Hmac.mac_sched sched msg = expected
+          | 1 ->
+              Crypto.Hmac.verify_sched sched ~tag:expected msg
+              && not (Crypto.Hmac.verify_sched sched ~tag:expected (msg ^ "x"))
+          | _ ->
+              let cut = min cut (String.length msg) in
+              let parts = [ String.sub msg 0 cut; String.sub msg cut (String.length msg - cut) ] in
+              Crypto.Hmac.mac_list_sched sched parts = expected
+              && Crypto.Hmac.verify_list_sched sched ~tag:expected parts)
+        ops)
+
 (* --- Merkle at scale (regression for the O(n^2) level walk) ------------ *)
 
 let test_merkle_1000_leaves () =
@@ -371,6 +417,7 @@ let suite =
     ("batch root not replayable as body", `Quick, test_batch_root_not_replayable_as_body);
     ("auth direct and batched", `Quick, test_auth_direct_and_batched);
     QCheck_alcotest.to_alcotest prop_hmac_schedule_equals_mac;
+    QCheck_alcotest.to_alcotest prop_hmac_schedule_reused;
     QCheck_alcotest.to_alcotest prop_sha256_split_invariance;
     QCheck_alcotest.to_alcotest prop_sha256_injective_smoke;
     QCheck_alcotest.to_alcotest prop_hmac_mac_list;

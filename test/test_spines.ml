@@ -204,7 +204,16 @@ let test_wrong_key_daemon_rejected () =
   Spines.Node.send o.nodes.(1) ~client:1 ~size:50 (Spines.Node.To_group "g")
     (Netbase.Packet.Raw "stale");
   Sim.Engine.run ~until:1.0 o.engine;
-  check_int "nothing delivered" 0 (List.length !sink)
+  check_int "nothing delivered" 0 (List.length !sink);
+  (* Each daemon checks tags under the schedule of its own key: the keyed
+     peers reject the stale daemon, and it rejects them. *)
+  Array.iteri
+    (fun i node ->
+      check
+        (Printf.sprintf "node %d rejected traffic" i)
+        true
+        (Sim.Stats.Counter.get (Spines.Node.counters node) "auth.reject" > 0))
+    o.nodes
 
 let test_keyed_member_accepted () =
   (* Control for the two tests above: with the right key, traffic flows.
