@@ -1687,7 +1687,7 @@ let exp_e18 () =
    carries. *)
 type e19_old_breaker = {
   mutable ob_reported : bool;
-  mutable ob_commanded : bool;
+  ob_commanded : bool;
   mutable ob_exec : int;
 }
 
@@ -2066,8 +2066,8 @@ let exp_e20 () =
   ignore
     (Sim.Engine.schedule_at engine ~time:t_attack (fun () ->
          match !fdia with
-         | Some f -> (
-             match Attack.Fdia.force_open f d ~breaker:attacked_breaker with
+         | Some _ -> (
+             match Attack.Fdia.force_open d ~breaker:attacked_breaker with
              | Ok () -> ()
              | Error e -> failwith e)
          | None -> failwith "fdia not launched"));

@@ -42,11 +42,6 @@ let redteam_cmd =
 
 (* --- latency ------------------------------------------------------------------ *)
 
-(* Shared by latency/chaos: drop back to sign-per-message with no
-   verified-signature cache, for measuring the amortized pipeline's gain. *)
-let plain_crypto (config : Prime.Config.t) =
-  { config with Prime.Config.batch_signing = false; sig_cache_capacity = 0 }
-
 let no_batch_arg =
   Arg.(
     value & flag
@@ -60,10 +55,19 @@ let checkpoint_interval_arg =
     & info [ "checkpoint-interval" ] ~docv:"N"
         ~doc:"Executions between authenticated checkpoints (default from the deployment config).")
 
-let apply_store ~checkpoint_interval (config : Prime.Config.t) =
-  match checkpoint_interval with
-  | None -> config
-  | Some k -> { config with Prime.Config.checkpoint_interval = max 1 k }
+(* Shared by latency/chaos: the power-plant configuration (f = 1, k = 1).
+   [no_batch] drops back to sign-per-message with no verified-signature
+   cache, for measuring the amortized pipeline's gain. A value
+   [Prime.Config.create] rejects is a command-line error. *)
+let plant_config ~no_batch ~checkpoint_interval =
+  let batch_signing, sig_cache_capacity = if no_batch then (Some false, Some 0) else (None, None) in
+  match
+    Prime.Config.create ~f:1 ~k:1 ?batch_signing ?sig_cache_capacity ?checkpoint_interval ()
+  with
+  | config -> config
+  | exception Invalid_argument msg ->
+      Printf.eprintf "spire_cli: %s\n" msg;
+      exit Cmd.Exit.cli_error
 
 let latency samples poll gap no_batch checkpoint_interval json_file =
   let pr name stats completed =
@@ -75,9 +79,7 @@ let latency samples poll gap no_batch checkpoint_interval json_file =
   in
   let horizon = 5.0 +. (gap *. float_of_int (samples + 4)) in
   let engine, trace = fresh_world () in
-  let config = Prime.Config.power_plant () in
-  let config = if no_batch then plain_crypto config else config in
-  let config = apply_store ~checkpoint_interval config in
+  let config = plant_config ~no_batch ~checkpoint_interval in
   let deployment =
     Spire.Deployment.create ~proxy_poll_period:poll ~engine ~trace ~config mini_scenario
   in
@@ -295,9 +297,7 @@ let chaos_soak ~config ~duration ~load_period seeds =
       1
 
 let chaos seed duration load_period soak no_batch checkpoint_interval json_file =
-  let config = Prime.Config.power_plant () in
-  let config = if no_batch then plain_crypto config else config in
-  let config = apply_store ~checkpoint_interval config in
+  let config = plant_config ~no_batch ~checkpoint_interval in
   match soak with
   | Some seeds when seeds > 0 -> exit (chaos_soak ~config ~duration ~load_period seeds)
   | Some _ | None ->

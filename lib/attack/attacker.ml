@@ -1,16 +1,11 @@
 (* Red-team actor.
 
-   An attacker owns machines attached to networks (its [position]s), a
-   scratch log of attempted actions with outcomes, and — once it
-   compromises hosts — footholds it can escalate. All attack actions act
-   through the same network primitives as legitimate code: raw frame
-   injection, UDP sockets, promiscuous sniffing. *)
+   An attacker owns machines attached to networks (its [position]s) and
+   — once it compromises hosts — footholds it can escalate. All attack
+   actions act through the same network primitives as legitimate code:
+   raw frame injection, UDP sockets, promiscuous sniffing. *)
 
 type outcome = Succeeded of string | Failed of string
-
-let outcome_ok = function Succeeded _ -> true | Failed _ -> false
-
-let outcome_detail = function Succeeded d | Failed d -> d
 
 type position = {
   pos_name : string;
@@ -22,7 +17,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   mutable positions : position list;
-  mutable log : (float * string * outcome) list;
   counters : Sim.Stats.Counter.t;
   learned_macs : (Netbase.Addr.Ip.t, Netbase.Addr.Mac.t) Hashtbl.t;
 }
@@ -32,7 +26,6 @@ let create ~engine ~trace =
     engine;
     trace;
     positions = [];
-    log = [];
     counters = Sim.Stats.Counter.create ();
     learned_macs = Hashtbl.create 32;
   }
@@ -50,33 +43,23 @@ let known_mac t ip = Hashtbl.find_opt t.learned_macs ip
 
 let counters t = t.counters
 
-let log t = List.rev t.log
-
 let record t ~action outcome =
-  t.log <- (Sim.Engine.now t.engine, action, outcome) :: t.log;
-  Sim.Stats.Counter.incr t.counters
-    (if outcome_ok outcome then "action.succeeded" else "action.failed");
+  let ok, detail = match outcome with Succeeded d -> (true, d) | Failed d -> (false, d) in
+  Sim.Stats.Counter.incr t.counters (if ok then "action.succeeded" else "action.failed");
   Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"attack" "%s: %s — %s"
     action
-    (match outcome with Succeeded _ -> "SUCCESS" | Failed _ -> "failed")
-    (outcome_detail outcome)
+    (if ok then "SUCCESS" else "failed")
+    detail
 
-(* Attach an attacker machine to a switch. [bound] registers its MAC in
-   the switch's static table (models being handed a provisioned port, as
-   in the red-team rules of engagement). *)
-let attach ?(bound = true) t ~name ~ip switch =
+(* Attach an attacker machine to a switch, registering its MAC in the
+   switch's static table (models being handed a provisioned port, as in
+   the red-team rules of engagement). *)
+let attach t ~name ~ip switch =
   let host = Netbase.Host.create ~os:Netbase.Host.ubuntu_desktop ~engine:t.engine ~trace:t.trace name in
   let nic = Netbase.Host.add_nic host ~ip in
   let port = Netbase.Host.plug_into_switch host nic switch in
-  if bound then Netbase.Switch.bind_mac switch (Netbase.Host.nic_mac nic) port;
+  Netbase.Switch.bind_mac switch (Netbase.Host.nic_mac nic) port;
   Netbase.Host.set_promiscuous nic (Some (fun frame -> sniff_arp t frame));
-  let position = { pos_name = name; pos_host = host; pos_nic = nic } in
-  t.positions <- position :: t.positions;
-  position
-
-(* Use an already-compromised machine as a position (the replica
-   excursion hands the red team a Spire machine). *)
-let position_on t ~name host nic =
   let position = { pos_name = name; pos_host = host; pos_nic = nic } in
   t.positions <- position :: t.positions;
   position

@@ -1,11 +1,7 @@
-(** Red-team actor: machines attached to networks, an action log, and
-    passive ARP sniffing on every attacker NIC. *)
+(** Red-team actor: machines attached to networks, traced and counted
+    actions, and passive ARP sniffing on every attacker NIC. *)
 
 type outcome = Succeeded of string | Failed of string
-
-val outcome_ok : outcome -> bool
-
-val outcome_detail : outcome -> string
 
 type position = {
   pos_name : string;
@@ -17,7 +13,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   mutable positions : position list;
-  mutable log : (float * string * outcome) list;
   counters : Sim.Stats.Counter.t;
   learned_macs : (Netbase.Addr.Ip.t, Netbase.Addr.Mac.t) Hashtbl.t;
 }
@@ -29,15 +24,9 @@ val known_mac : t -> Netbase.Addr.Ip.t -> Netbase.Addr.Mac.t option
 
 val counters : t -> Sim.Stats.Counter.t
 
-val log : t -> (float * string * outcome) list
-
 val record : t -> action:string -> outcome -> unit
 
-(** Attach an attacker machine to a switch. [bound] (default true)
-    registers its MAC in the switch's static table — being handed a
-    provisioned port, per the rules of engagement. *)
-val attach : ?bound:bool -> t -> name:string -> ip:Netbase.Addr.Ip.t -> Netbase.Switch.t -> position
-
-(** Use an already-compromised machine as a position (the replica
-    excursion). *)
-val position_on : t -> name:string -> Netbase.Host.t -> Netbase.Host.nic -> position
+(** Attach an attacker machine to a switch, registering its MAC in the
+    switch's static table — being handed a provisioned port, per the
+    rules of engagement. *)
+val attach : t -> name:string -> ip:Netbase.Addr.Ip.t -> Netbase.Switch.t -> position

@@ -17,13 +17,7 @@
    attack's point is that breaker-state invariants stay silent while
    only state estimation notices the lie. *)
 
-type t = {
-  fdia_site : string;
-  fdia_proxy : Scada.Rtu_proxy.t;
-  mutable fdia_frozen : (string * int) list option; (* snapshot replayed *)
-  mutable fdia_launched_at : float option;
-  mutable fdia_forced : (string * float) list; (* breaker, time; newest first *)
-}
+type t = { mutable fdia_frozen : (string * int) list option (* snapshot replayed *) }
 
 let find_site deployment site =
   Array.fold_left
@@ -44,16 +38,7 @@ let launch deployment ~site =
       | Spire.Deployment.Modbus_plc _ ->
           Error (Printf.sprintf "site %s is Modbus: no analog image to rewrite" site)
       | Spire.Deployment.Dnp3_rtu { fe_proxy; _ } ->
-          let t =
-            {
-              fdia_site = site;
-              fdia_proxy = fe_proxy;
-              fdia_frozen = None;
-              fdia_launched_at =
-                Some (Sim.Engine.now (Spire.Deployment.engine deployment));
-              fdia_forced = [];
-            }
-          in
+          let t = { fdia_frozen = None } in
           Scada.Rtu_proxy.set_analog_rewrite fe_proxy
             (Some
                (fun readings ->
@@ -67,23 +52,11 @@ let launch deployment ~site =
 (* The physical half: flip a breaker at the substation, bypassing the
    supervisory path (an insider or a maintenance-channel actuation).
    The RTU reports the new position honestly — only the analogs lie. *)
-let force_open t deployment ~breaker =
+let force_open deployment ~breaker =
   match Spire.Deployment.find_breaker deployment breaker with
   | None -> Error (Printf.sprintf "unknown breaker %s" breaker)
   | Some (_, b) ->
       Plc.Breaker.force b Plc.Breaker.Open;
-      t.fdia_forced <-
-        (breaker, Sim.Engine.now (Spire.Deployment.engine deployment)) :: t.fdia_forced;
       Ok ()
 
-(* Lose the foothold: the proxy polls honestly again. *)
-let release t = Scada.Rtu_proxy.set_analog_rewrite t.fdia_proxy None
-
-let site t = t.fdia_site
-
-let launched_at t = t.fdia_launched_at
-
 let frozen t = t.fdia_frozen <> None
-
-(* Oldest first. *)
-let forced t = List.rev t.fdia_forced

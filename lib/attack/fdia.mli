@@ -13,17 +13,7 @@ val launch : Spire.Deployment.t -> site:string -> (t, string) result
 
 (** Physically force a breaker open (insider action, bypassing the
     supervisory path). The RTU reports the position change honestly. *)
-val force_open : t -> Spire.Deployment.t -> breaker:string -> (unit, string) result
-
-(** Drop the foothold: the proxy polls honestly again. *)
-val release : t -> unit
-
-val site : t -> string
-
-val launched_at : t -> float option
+val force_open : Spire.Deployment.t -> breaker:string -> (unit, string) result
 
 (** Has the replayed snapshot been captured yet (first poll ran)? *)
 val frozen : t -> bool
-
-(** Breakers forced so far with times, oldest first. *)
-val forced : t -> (string * float) list

@@ -40,6 +40,8 @@ let ridge = 1e-9
    Wilson-Hilferty gives the critical value without tables. *)
 let z_confidence = 3.090232 (* z at p = 0.999 *)
 
+(* Critical value at p = 0.999; [infinity] for dof <= 0, so an
+   unobservable system never flags. *)
 let chi2_threshold ~dof =
   if dof <= 0 then infinity
   else

@@ -21,10 +21,6 @@ type report = {
   est_worst_residual : float;  (** in sigmas *)
 }
 
-(** Chi-square critical value at p = 0.999 (Wilson-Hilferty); [infinity]
-    for dof <= 0, so an unobservable system never flags. *)
-val chi2_threshold : dof:int -> float
-
 (** One estimation sweep. [None] until the telemetry image holds enough
     measurements to determine the believed network's angles. *)
 val evaluate : Power.Model.t -> Scada.State.t -> report option

@@ -14,7 +14,7 @@
      seconds;
    - recovery liveness: a replica brought back from a clean image fails
      to rejoin — running with its preorder origin re-based — within
-     [recovery_bound] seconds;
+     [recovery_bound] = 30 seconds;
    - state-digest agreement: two running replicas at the same execution
      frontier hold different application state digests (a recovered
      replica must converge to the quorum's state byte-for-byte).
@@ -29,7 +29,6 @@ type pending_recovery = { pr_replica : int; pr_started : float; pr_deadline : fl
 type t = {
   engine : Sim.Engine.t;
   liveness_bound : float;
-  recovery_bound : float;
   is_healthy : unit -> bool;
   executed : (int, string) Hashtbl.t; (* exec_seq -> update identity *)
   actuated : (string, int) Hashtbl.t; (* proxy ^ key -> actuation count *)
@@ -54,11 +53,12 @@ type t = {
   mutable on_violation : (violation -> unit) option;
 }
 
-let create ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ~engine ~is_healthy () =
+let recovery_bound = 30.0
+
+let create ?(liveness_bound = 20.0) ~engine ~is_healthy () =
   {
     engine;
     liveness_bound;
-    recovery_bound;
     is_healthy;
     executed = Hashtbl.create 4096;
     actuated = Hashtbl.create 1024;
@@ -112,7 +112,7 @@ let note_actuation t ~proxy ~key =
 let expect_recovery t ~replica =
   let now = Sim.Engine.now t.engine in
   t.recoveries <-
-    { pr_replica = replica; pr_started = now; pr_deadline = now +. t.recovery_bound }
+    { pr_replica = replica; pr_started = now; pr_deadline = now +. recovery_bound }
     :: t.recoveries
 
 let check_progress t =
@@ -192,7 +192,7 @@ let check_recoveries t =
               violate t ~invariant:"recovery"
                 (Printf.sprintf
                    "replica %d not rejoined %.1f s after clean restart (running=%b synced=%b)"
-                   pr.pr_replica t.recovery_bound (Prime.Replica.is_running r)
+                   pr.pr_replica recovery_bound (Prime.Replica.is_running r)
                    (Prime.Replica.origin_synced r));
               false
             end
@@ -291,13 +291,13 @@ let check_bad_data t deployment (net : Power.Net.t) =
             end
           end)
 
-let attach_power ?(period = 0.1) ?(bad_data = true) t deployment =
+let attach_power t deployment =
   let net = Spire.Deployment.power_net deployment in
   t.power_poll <-
     Some
-      (Sim.Engine.every t.engine ~period (fun () ->
+      (Sim.Engine.every t.engine ~period:0.1 (fun () ->
            check_power_physics t net;
-           if bad_data then check_bad_data t deployment net))
+           check_bad_data t deployment net))
 
 let fdia_detected_at t = t.fdia_detected_at
 

@@ -75,8 +75,11 @@ let sum_dedup_evictions deployment =
     0
     (Spire.Deployment.replicas deployment)
 
-let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period = 1.0)
-    ?(liveness_bound = 20.0) ?(recovery_bound = 30.0) ?(heal_grace = 10.0) ?schedule
+(* Settle time granted after the fault burden drops back to at most f
+   replicas, before liveness is enforced again. *)
+let heal_grace = 10.0
+
+let run ?config ?(duration = 120.0) ?(load_period = 1.0) ?(liveness_bound = 20.0) ?schedule
     ?(observe = true) ?flight_dump ?fault_class ~seed () =
   let config = match config with Some c -> c | None -> Prime.Config.power_plant () in
   (* Observation is opt-in per run and restored afterwards: the default
@@ -106,7 +109,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
     if observe then Some (Obs.Alert.create ~flight:Obs.Flight.default ()) else None
   in
   let trace = Sim.Trace.create () in
-  let deployment = Spire.Deployment.create ~engine ~trace ~config scenario in
+  let deployment = Spire.Deployment.create ~engine ~trace ~config default_scenario in
   Sim.Engine.run ~until:warmup engine;
   let chaos_rng = Sim.Rng.create (Int64.of_int (seed * 2 + 1)) in
   let schedule =
@@ -140,7 +143,7 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
     (not !was_degraded) && Sim.Engine.now engine -. !calm_since >= heal_grace
   in
   let invariant =
-    Invariant.create ~liveness_bound ~recovery_bound ~engine ~is_healthy ()
+    Invariant.create ~liveness_bound ~engine ~is_healthy ()
   in
   Invariant.attach invariant deployment;
   (* First violation → dump the flight narrative immediately, so the
@@ -200,9 +203,9 @@ let run ?config ?(scenario = default_scenario) ?(duration = 120.0) ?(load_period
         end)
   in
   (* Health sampler: polls the probe registry and runs the alert rules.
-     Purely passive — [Sim.Engine.every] without jitter draws no RNG and
-     the heap breaks same-time ties by insertion order, so protocol
-     events are never reordered by observation. *)
+     Purely passive — [Sim.Engine.every] has no jitter, so it draws no
+     RNG, and the timer wheel breaks same-time ties by insertion order,
+     so protocol events are never reordered by observation. *)
   let sampler =
     match alert with
     | Some a ->

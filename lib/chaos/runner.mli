@@ -27,13 +27,11 @@ type result = {
   flight_dump_path : string option; (* written on the first violation *)
 }
 
-val default_scenario : Plc.Power.scenario
-
-(** [run ~seed ()] executes a chaos scenario. Without [schedule], a
-    mixed crash+partition+lossy+leader schedule is generated from the
-    seed. [liveness_bound] / [recovery_bound] parameterise the invariant
-    checker; [heal_grace] is the settle time granted after the fault
-    burden drops back to at most f replicas.
+(** [run ~seed ()] executes a chaos scenario on a one-PLC plant. Without
+    [schedule], a mixed crash+partition+lossy+leader schedule is
+    generated from the seed. [liveness_bound] parameterises the
+    invariant checker, enforced once the fault burden has been back at
+    most f replicas for 10 s.
 
     [observe] (default true) turns on the flight recorder, health-probe
     sampler and alert engine for the run (process-global enablement is
@@ -47,12 +45,9 @@ val default_scenario : Plc.Power.scenario
     campaigns run hundreds of seeds of [Fault.Lossy] this way. *)
 val run :
   ?config:Prime.Config.t ->
-  ?scenario:Plc.Power.scenario ->
   ?duration:float ->
   ?load_period:float ->
   ?liveness_bound:float ->
-  ?recovery_bound:float ->
-  ?heal_grace:float ->
   ?schedule:Fault.schedule ->
   ?observe:bool ->
   ?flight_dump:string ->

@@ -2,9 +2,6 @@
 
 let ip = Netbase.Addr.Ip.v
 
-(* Spines Internal: replicas only, physically isolated. *)
-let internal_subnet = ip 10 0 1 0
-
 let replica_internal i = ip 10 0 1 (11 + i)
 
 (* Spines External: replicas, proxies, HMIs. *)

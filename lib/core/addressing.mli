@@ -3,8 +3,6 @@
     network, per-PLC proxy cables, the enterprise network and the
     commercial operations network. *)
 
-val internal_subnet : Netbase.Addr.Ip.t
-
 val replica_internal : int -> Netbase.Addr.Ip.t
 
 val external_subnet : Netbase.Addr.Ip.t

@@ -21,6 +21,12 @@ let heartbeat_port = 5600
 
 let command_port = 5510
 
+(* The master polls every PLC, and pushes a full refresh to the HMI, at
+   this period. *)
+let poll_period = 0.5
+
+let refresh_period = 0.5
+
 type master_role = { m_host : Netbase.Host.t; mutable m_active : bool }
 
 type t = {
@@ -41,8 +47,6 @@ type t = {
   mutable transaction : int;
   plc_ip_of_breaker : (string, Netbase.Addr.Ip.t * int) Hashtbl.t; (* -> plc ip, coil *)
   counters : Sim.Stats.Counter.t;
-  poll_period : float;
-  refresh_period : float;
   pcap : Netbase.Pcap.t;
 }
 
@@ -52,20 +56,14 @@ let ops_switch t = t.ops_switch
 
 let pcap t = t.pcap
 
-let hmi_host t = t.hmi_host
-
-let primary_host t = t.primary.m_host
-
 let plc_hosts t = t.plc_hosts
 
 let devices t = t.devices
 
 let scenario t = t.scenario
 
-let breakers t = Array.concat (Array.to_list t.breakers)
-
 let find_breaker t name =
-  let all = breakers t in
+  let all = Array.concat (Array.to_list t.breakers) in
   let rec scan i =
     if i >= Array.length all then None
     else if String.equal (Plc.Breaker.name all.(i)) name then Some all.(i)
@@ -78,8 +76,6 @@ let on_display_change t f = t.on_display_change <- f :: t.on_display_change
 let displayed_closed t breaker = Hashtbl.find_opt t.hmi_display breaker
 
 (* --- master logic ----------------------------------------------------------- *)
-
-let active_master t = if t.primary.m_active then t.primary else t.backup
 
 let send_modbus t role ~dst_ip body =
   t.transaction <- t.transaction + 1;
@@ -157,11 +153,11 @@ let setup_master t role ~is_primary =
       | Hmi_command { breaker; close } -> if role.m_active then handle_command t role ~breaker ~close
       | _ -> ());
   ignore
-    (Sim.Engine.every t.engine ~period:t.poll_period (fun () ->
+    (Sim.Engine.every t.engine ~period:poll_period (fun () ->
          if role.m_active then poll_all t role));
   (* Periodic full refresh toward the HMI, as commercial masters do. *)
   ignore
-    (Sim.Engine.every t.engine ~period:t.refresh_period (fun () ->
+    (Sim.Engine.every t.engine ~period:refresh_period (fun () ->
          if role.m_active then
            Hashtbl.iter (fun breaker closed -> push_hmi t role ~breaker ~closed) t.master_view));
   if is_primary then
@@ -220,7 +216,7 @@ let hmi_command t ~breaker ~close =
 
 (* --- construction ------------------------------------------------------------- *)
 
-let create ?(poll_period = 0.5) ?(refresh_period = 0.5) ~engine ~trace scenario =
+let create ~engine ~trace scenario =
   (* Best practice did not include port security on the testbed's
      operations switch; learning mode reflects that. *)
   let ops_switch = Netbase.Switch.create ~mode:Netbase.Switch.Learning ~engine ~trace "commercial-ops" in
@@ -296,8 +292,6 @@ let create ?(poll_period = 0.5) ?(refresh_period = 0.5) ~engine ~trace scenario 
       transaction = 0;
       plc_ip_of_breaker;
       counters = Sim.Stats.Counter.create ();
-      poll_period;
-      refresh_period;
       pcap;
     }
   in
@@ -310,5 +304,3 @@ let fail_primary t =
   t.primary.m_active <- false;
   Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"commercial"
     "primary master failed"
-
-let active_master_host t = (active_master t).m_host

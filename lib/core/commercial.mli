@@ -11,21 +11,9 @@ type Netbase.Packet.payload +=
   | Hmi_command of { breaker : string; close : bool }
   | Heartbeat of { from_primary : bool }
 
-val hmi_port : int
-
-val heartbeat_port : int
-
-val command_port : int
-
 type t
 
-val create :
-  ?poll_period:float ->
-  ?refresh_period:float ->
-  engine:Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  Plc.Power.scenario ->
-  t
+val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> Plc.Power.scenario -> t
 
 val counters : t -> Sim.Stats.Counter.t
 
@@ -33,19 +21,11 @@ val ops_switch : t -> Netbase.Switch.t
 
 val pcap : t -> Netbase.Pcap.t
 
-val hmi_host : t -> Netbase.Host.t
-
-val primary_host : t -> Netbase.Host.t
-
-val active_master_host : t -> Netbase.Host.t
-
 val plc_hosts : t -> Netbase.Host.t array
 
 val devices : t -> Plc.Device.t array
 
 val scenario : t -> Plc.Power.scenario
-
-val breakers : t -> Plc.Breaker.t array
 
 val find_breaker : t -> string -> Plc.Breaker.t option
 

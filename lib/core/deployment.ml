@@ -18,6 +18,8 @@
    Spines session clients (with heartbeat failover across daemons), as in
    the real system. *)
 
+(* Spines client-session ids: the Prime stream and master-to-master SCADA
+   traffic. *)
 let prime_client = 1
 
 let scada_client = 2
@@ -61,12 +63,6 @@ let proxy_reset_reporting bundle =
   | Modbus_plc { fe_proxy; _ } -> Scada.Proxy.reset_reporting fe_proxy
   | Dnp3_rtu { fe_proxy; _ } -> Scada.Rtu_proxy.reset_reporting fe_proxy
 
-(* The Modbus device behind a bundle, when it is one (unit-test access). *)
-let modbus_device bundle =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_device; _ } -> Some fe_device
-  | Dnp3_rtu _ -> None
-
 type hmi_bundle = {
   h_index : int;
   h_host : Netbase.Host.t;
@@ -81,15 +77,12 @@ type t = {
   keystore : Crypto.Signature.keystore;
   config : Prime.Config.t;
   scenario : Plc.Power.scenario;
-  power_model : Power.Model.t;
   power_net : Power.Net.t;
-  hardened : bool;
   internal_switch : Netbase.Switch.t;
   external_switch : Netbase.Switch.t;
   replicas : replica_bundle array;
   proxies : proxy_bundle array;
   hmis : hmi_bundle array;
-  endpoints : (string, int) Hashtbl.t; (* endpoint name -> external overlay node id *)
   internal_pcap : Netbase.Pcap.t;
   external_pcap : Netbase.Pcap.t;
 }
@@ -103,8 +96,6 @@ let keystore t = t.keystore
 let config t = t.config
 
 let scenario t = t.scenario
-
-let power_model t = t.power_model
 
 let power_net t = t.power_net
 
@@ -193,12 +184,10 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
      and HMIs attach as remote session clients. *)
   let internal_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
   let external_topology = Spines.Topology.full_mesh (List.init n (fun i -> i)) in
-  (* Egress bounds follow the Prime config so both overlays share them. *)
   let internal_config node_key =
     {
       (Spines.Node.default_config ~port:Addressing.spines_internal_port ~it_mode:true
-         ~group_key:node_key ~egress_capacity:config.Prime.Config.egress_capacity
-         ~coalesce_window:config.Prime.Config.coalesce_window internal_topology)
+         ~group_key:node_key internal_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;
@@ -208,8 +197,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
     {
       (Spines.Node.default_config ~port:Addressing.spines_external_port
          ~session_port:Addressing.spines_session_port ~it_mode:true ~group_key:node_key
-         ~egress_capacity:config.Prime.Config.egress_capacity
-         ~coalesce_window:config.Prime.Config.coalesce_window external_topology)
+         external_topology)
       with
       Spines.Node.hello_period = 1.0;
       hello_timeout = 3.5;
@@ -606,15 +594,12 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
     keystore;
     config;
     scenario;
-    power_model;
     power_net;
-    hardened;
     internal_switch;
     external_switch;
     replicas = replica_bundles;
     proxies = proxy_bundles;
     hmis = hmi_bundles;
-    endpoints;
     internal_pcap;
     external_pcap;
   }

@@ -9,12 +9,6 @@
     port security); building with [hardened:false] reproduces the
     configuration the red team would have faced without them. *)
 
-(** Spines client-session id used for the Prime stream. *)
-val prime_client : int
-
-(** Spines client-session id used for master-to-master SCADA traffic. *)
-val scada_client : int
-
 (** A field site speaks either Modbus (PLC) or DNP3 (RTU). *)
 type field_frontend =
   | Modbus_plc of { fe_device : Plc.Device.t; fe_proxy : Scada.Proxy.t }
@@ -82,9 +76,6 @@ val config : t -> Prime.Config.t
 
 val scenario : t -> Plc.Power.scenario
 
-(** The electrical model derived from the scenario topology. *)
-val power_model : t -> Power.Model.t
-
 (** The live electrical overlay co-simulating on the deployment's engine.
     Breaker positions drive it; it never commands breakers. RTU analog
     images sample its measurement points. *)
@@ -119,11 +110,6 @@ val external_pcap : t -> Netbase.Pcap.t
 
 (** Dispatch a SCADA payload to a site's proxy, whatever its protocol. *)
 val proxy_handle_payload : proxy_bundle -> Netbase.Packet.payload -> unit
-
-val proxy_reset_reporting : proxy_bundle -> unit
-
-(** The Modbus device behind a bundle, when it is one. *)
-val modbus_device : proxy_bundle -> Plc.Device.t option
 
 (** Locate a breaker by name across all sites. *)
 val find_breaker : t -> string -> (proxy_bundle * Plc.Breaker.t) option

@@ -20,7 +20,6 @@ type shard = { s_index : int; s_label : string; s_deployment : Deployment.t }
 
 type t = {
   engine : Sim.Engine.t;
-  trace : Sim.Trace.t;
   map : Scada.Shard.t;
   shard_bundles : shard array;
 }
@@ -38,7 +37,7 @@ let create ?hardened ?n_hmis ?proxy_poll_period ?dnp3_plcs ?switch_bandwidth ~en
         in
         { s_index = s; s_label = label; s_deployment = deployment })
   in
-  { engine; trace; map; shard_bundles }
+  { engine; map; shard_bundles }
 
 let engine t = t.engine
 

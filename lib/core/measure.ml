@@ -6,16 +6,13 @@
    physical breaker and a hook telling it when a display cell repainted.
    Both Spire and the commercial baseline provide these. *)
 
-type sample = { flipped_at : float; reflected_at : float }
-
-let latency s = s.reflected_at -. s.flipped_at
-
 (* Flip [breaker] [samples] times, [gap] seconds apart, and record the
    time until [watch_display] reports the matching change. Runs inside
    the engine; call [Sim.Engine.run] afterwards and then read [results].
 
-   [watch_display] registers a callback receiving (breaker, closed). *)
-let run ?(first_target = true) ~engine ~breaker ~flip ~watch_display ~samples ~gap () =
+   [watch_display] registers a callback receiving (breaker, closed);
+   [first_target] is the position the first flip drives the breaker to. *)
+let run ~first_target ~engine ~breaker ~flip ~watch_display ~samples ~gap =
   let results = Sim.Stats.Summary.create () in
   let outstanding : (bool * float) option ref = ref None in
   let completed = ref 0 in
@@ -44,17 +41,17 @@ let run ?(first_target = true) ~engine ~breaker ~flip ~watch_display ~samples ~g
   (results, completed)
 
 (* Convenience wrapper for a Spire deployment. *)
-let spire_reaction_time ?(hmi_index = 0) ~deployment ~breaker ~samples ~gap () =
+let spire_reaction_time ~deployment ~breaker ~samples ~gap () =
   match Deployment.find_breaker deployment breaker with
   | None -> invalid_arg ("Measure.spire_reaction_time: unknown breaker " ^ breaker)
   | Some (_, b) ->
-      let hmi = (Deployment.hmis deployment).(hmi_index).Deployment.h_hmi in
+      let hmi = (Deployment.hmis deployment).(0).Deployment.h_hmi in
       run
         ~first_target:(not (Plc.Breaker.is_closed b))
         ~engine:(Deployment.engine deployment) ~breaker
         ~flip:(fun close -> Plc.Breaker.force b (if close then Plc.Breaker.Closed else Plc.Breaker.Open))
         ~watch_display:(fun f -> Scada.Hmi.on_display_change hmi f)
-        ~samples ~gap ()
+        ~samples ~gap
 
 (* Convenience wrapper for the commercial baseline. *)
 let commercial_reaction_time ~engine ~commercial ~breaker ~samples ~gap () =
@@ -66,4 +63,4 @@ let commercial_reaction_time ~engine ~commercial ~breaker ~samples ~gap () =
         ~engine ~breaker
         ~flip:(fun close -> Plc.Breaker.force b (if close then Plc.Breaker.Closed else Plc.Breaker.Open))
         ~watch_display:(fun f -> Commercial.on_display_change commercial f)
-        ~samples ~gap ()
+        ~samples ~gap

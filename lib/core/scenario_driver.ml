@@ -16,12 +16,11 @@ type t = {
   mutable commands_issued : int;
 }
 
-let create ?(hmi_index = 0) deployment =
+let create deployment =
   let scenario = Deployment.scenario deployment in
-  let hmi_bundle = (Deployment.hmis deployment).(hmi_index) in
   {
     deployment;
-    hmi = hmi_bundle.Deployment.h_hmi;
+    hmi = (Deployment.hmis deployment).(0).Deployment.h_hmi;
     order = Array.of_list (Plc.Power.all_breakers scenario);
     cursor = 0;
     timer = None;

@@ -44,13 +44,8 @@ val remaining : reader -> int
 
 val at_end : reader -> bool
 
-(** Zero-copy sub-view over the next [len] bytes (shares the backing
-    string; consumes the window from the parent). Raises [Truncated]
-    when fewer than [len] bytes remain. *)
-val sub_reader : reader -> int -> reader
-
-(** The next length-prefixed string field as a {!sub_reader} instead of
-    a copied-out string. *)
+(** The next length-prefixed string field as a zero-copy sub-reader
+    (sharing the backing string) instead of a copied-out string. *)
 val r_str_reader : reader -> reader
 
 val r_u8 : reader -> int

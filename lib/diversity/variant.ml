@@ -8,17 +8,15 @@
    a variant with the same build id. Compiling without diversification
    yields the shared "monoculture" build — one exploit fits all. *)
 
-type t = { seed : int64; build_id : string }
+type t = { build_id : string }
 
-let monoculture = { seed = 0L; build_id = "monoculture-build" }
+let monoculture = { build_id = "monoculture-build" }
 
 let compile ?(diversify = true) rng =
   if not diversify then monoculture
   else
     let seed = Sim.Rng.int64 rng in
-    { seed; build_id = Crypto.Sha256.hex_of_string (Printf.sprintf "layout:%Ld" seed) }
-
-let build_id t = t.build_id
+    { build_id = Crypto.Sha256.hex_of_string (Printf.sprintf "layout:%Ld" seed) }
 
 let equal a b = String.equal a.build_id b.build_id
 

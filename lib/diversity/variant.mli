@@ -4,11 +4,7 @@
 
 type t
 
-val monoculture : t
-
 val compile : ?diversify:bool -> Sim.Rng.t -> t
-
-val build_id : t -> string
 
 val equal : t -> t -> bool
 

@@ -14,6 +14,4 @@ val add_network : t -> name:string -> Detector.t -> unit
     recency. *)
 val overall : t -> condition
 
-val condition_to_string : condition -> string
-
 val render : t -> string

@@ -12,6 +12,7 @@ let sq_distance a b =
   Array.iteri (fun i x -> acc := !acc +. ((x -. b.(i)) *. (x -. b.(i)))) a;
   !acc
 
+(* Index and distance of the nearest centroid. *)
 let nearest t v =
   let best = ref 0 and best_d = ref infinity in
   Array.iteri
@@ -56,4 +57,3 @@ let train ~rng ~k ~iterations data =
       done;
       !model
 
-let centroids t = t.centroids

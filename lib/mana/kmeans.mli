@@ -8,9 +8,4 @@ type t
     of points. *)
 val train : rng:Sim.Rng.t -> k:int -> iterations:int -> float array list -> t
 
-(** Index and distance of the nearest centroid. *)
-val nearest : t -> float array -> int * float
-
 val distance : t -> float array -> float
-
-val centroids : t -> float array array

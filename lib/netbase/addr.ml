@@ -65,5 +65,3 @@ end
 type endpoint = { ip : Ip.t; port : int }
 
 let endpoint ip port = { ip; port }
-
-let pp_endpoint ppf e = Fmt.pf ppf "%a:%d" Ip.pp e.ip e.port

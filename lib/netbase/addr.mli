@@ -48,5 +48,3 @@ end
 type endpoint = { ip : Ip.t; port : int }
 
 val endpoint : Ip.t -> int -> endpoint
-
-val pp_endpoint : Format.formatter -> endpoint -> unit

@@ -25,11 +25,10 @@ type t = {
   mutable default_egress : action;
 }
 
-let create ?(default_ingress = Allow) ?(default_egress = Allow) () =
-  { rules = []; default_ingress; default_egress }
+let create () = { rules = []; default_ingress = Allow; default_egress = Allow }
 
 (* The paper's locked-down profile: default deny both ways. *)
-let locked_down () = create ~default_ingress:Deny ~default_egress:Deny ()
+let locked_down () = { rules = []; default_ingress = Deny; default_egress = Deny }
 
 let rule ?(action = Allow) ?remote_ip ?local_port ?remote_port ~description direction =
   { direction; action; remote_ip; local_port; remote_port; description }
@@ -66,7 +65,3 @@ let evaluate t ~direction ~remote_ip ~local_port ~remote_port =
         else scan rest
   in
   scan t.rules
-
-let rules t = t.rules
-
-let pp_action ppf = function Allow -> Fmt.string ppf "allow" | Deny -> Fmt.string ppf "deny"

@@ -11,7 +11,7 @@ type rule
 type t
 
 (** A permissive firewall (typical desktop default). *)
-val create : ?default_ingress:action -> ?default_egress:action -> unit -> t
+val create : unit -> t
 
 (** The paper's profile: default-deny in both directions. *)
 val locked_down : unit -> t
@@ -40,7 +40,3 @@ type verdict = { action : action; matched : string option }
 (** Evaluate a UDP packet against the rule set. *)
 val evaluate :
   t -> direction:direction -> remote_ip:Addr.Ip.t -> local_port:int -> remote_port:int -> verdict
-
-val rules : t -> rule list
-
-val pp_action : Format.formatter -> action -> unit

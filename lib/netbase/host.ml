@@ -111,8 +111,6 @@ let create ?(os = ubuntu_desktop) ?(firewall = Firewall.create ()) ?(ingress_rat
 
 let name t = t.host_name
 
-let os t = t.os
-
 let firewall t = t.firewall
 
 let counters t = t.counters
@@ -130,11 +128,6 @@ let nic_mac nic = nic.nic_mac
 
 let nic_ip nic = nic.nic_ip
 
-let nics t = t.nics
-
-let primary_ip t =
-  match t.nics with [] -> invalid_arg "Host.primary_ip: no NIC" | nic :: _ -> nic.nic_ip
-
 let set_default_gateway t ip = t.default_gateway <- Some ip
 
 let set_static_arp t ~ip ~mac = Hashtbl.replace t.arp_table ip { mac; static = true }
@@ -147,10 +140,6 @@ let set_promiscuous nic handler = nic.promiscuous <- handler
 let set_raw_handler t handler = t.raw_handler <- handler
 
 let add_service t ~port service = Hashtbl.replace t.services port service
-
-let remove_service t ~port = Hashtbl.remove t.services port
-
-let service_at t ~port = Hashtbl.find_opt t.services port
 
 let udp_bind t ~port handler =
   if Hashtbl.mem t.sockets port then

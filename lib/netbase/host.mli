@@ -41,8 +41,6 @@ val create :
 
 val name : t -> string
 
-val os : t -> os_profile
-
 val firewall : t -> Firewall.t
 
 val counters : t -> Sim.Stats.Counter.t
@@ -54,11 +52,6 @@ val add_nic : t -> ip:Addr.Ip.t -> nic
 val nic_mac : nic -> Addr.Mac.t
 
 val nic_ip : nic -> Addr.Ip.t
-
-val nics : t -> nic list
-
-(** IP of the first NIC. Raises [Invalid_argument] when there is none. *)
-val primary_ip : t -> Addr.Ip.t
 
 val set_default_gateway : t -> Addr.Ip.t -> unit
 
@@ -75,10 +68,6 @@ val set_promiscuous : nic -> (Packet.frame -> unit) option -> unit
 val set_raw_handler : t -> (nic -> Packet.frame -> bool) option -> unit
 
 val add_service : t -> port:int -> service -> unit
-
-val remove_service : t -> port:int -> unit
-
-val service_at : t -> port:int -> service option
 
 (** Bind a UDP socket. Raises [Invalid_argument] if the port is taken. *)
 val udp_bind : t -> port:int -> udp_handler -> unit

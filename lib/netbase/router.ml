@@ -66,8 +66,6 @@ let create ~engine ~trace name =
          | Packet.Ipv4 _ | Packet.Arp_request _ | Packet.Arp_reply _ -> false));
   t
 
-let host t = t.host
-
 let counters t = t.counters
 
 let add_interface t ~ip switch =
@@ -80,5 +78,3 @@ let add_interface t ~ip switch =
 
 let permit t ~src_subnet ~dst_subnet ?dst_port ~description () =
   t.acl <- t.acl @ [ { src_subnet; dst_subnet; dst_port; description } ]
-
-let acl t = t.acl

@@ -13,9 +13,6 @@ type acl_entry = {
 
 val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> string -> t
 
-(** The underlying host (for addressing/ARP inspection in tests). *)
-val host : t -> Host.t
-
 val counters : t -> Sim.Stats.Counter.t
 
 (** Attach an interface with address [ip] to [switch]. Hosts on that
@@ -32,5 +29,3 @@ val permit :
   description:string ->
   unit ->
   unit
-
-val acl : t -> acl_entry list

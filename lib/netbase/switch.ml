@@ -22,18 +22,20 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   name : string;
-  mutable mode : mode;
+  mode : mode;
   mutable ports : port array;
   mutable port_count : int;
   mac_table : (Addr.Mac.t, port_id) Hashtbl.t; (* learned or static *)
   mutable taps : (Packet.frame -> unit) list;
   counters : Sim.Stats.Counter.t;
-  latency : float;
   bandwidth : float; (* bytes per second per port *)
   max_backlog : float; (* seconds of queued serialisation before tail drop *)
 }
 
-let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0)
+(* Store-and-forward latency per frame, seconds. *)
+let latency = 5e-6
+
+let create ?(mode = Learning) ?(bandwidth = 125_000_000.0)
     ?(max_backlog = 0.05) ~engine ~trace name =
   {
     engine;
@@ -45,7 +47,6 @@ let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0)
     mac_table = Hashtbl.create 32;
     taps = [];
     counters = Sim.Stats.Counter.create ();
-    latency;
     bandwidth;
     max_backlog;
   }
@@ -53,8 +54,6 @@ let create ?(mode = Learning) ?(latency = 5e-6) ?(bandwidth = 125_000_000.0)
 let name t = t.name
 
 let counters t = t.counters
-
-let set_mode t mode = t.mode <- mode
 
 let attach t deliver =
   let port = { deliver; next_free = 0.0 } in
@@ -86,7 +85,7 @@ let send_out t port_id frame =
   else begin
     let serialization = float_of_int (Packet.frame_size frame) /. t.bandwidth in
     port.next_free <- start +. serialization;
-    let arrival = start +. serialization +. t.latency in
+    let arrival = start +. serialization +. latency in
     ignore (Sim.Engine.schedule_at t.engine ~time:arrival (fun () -> port.deliver frame));
     Sim.Stats.Counter.incr t.counters "tx"
   end

@@ -11,7 +11,6 @@ type mode = Learning | Static
 
 val create :
   ?mode:mode ->
-  ?latency:float ->
   ?bandwidth:float ->
   ?max_backlog:float ->
   engine:Sim.Engine.t ->
@@ -22,8 +21,6 @@ val create :
 val name : t -> string
 
 val counters : t -> Sim.Stats.Counter.t
-
-val set_mode : t -> mode -> unit
 
 (** [attach t deliver] adds a port whose egress calls [deliver]. *)
 val attach : t -> (Packet.frame -> unit) -> port_id

@@ -77,10 +77,10 @@ let metrics_with ~probe_prefix ~metric sample =
 
 (* Checkpoint lag: a durable store has fallen more than two checkpoint
    windows behind its replica's execution frontier. *)
-let checkpoint_lag_rule ?(max_windows = 2.0) () =
+let checkpoint_lag_rule () =
   sample_rule ~name:"checkpoint-lag" (fun sample ->
       match
-        List.filter (fun (_, lag) -> lag > max_windows)
+        List.filter (fun (_, lag) -> lag > 2.0)
           (metrics_with ~probe_prefix:"store." ~metric:"ck_lag_windows" sample)
       with
       | [] -> None
@@ -91,7 +91,8 @@ let checkpoint_lag_rule ?(max_windows = 2.0) () =
    daemons grew by at least [min_drops] within the last [window]
    evaluations. A rate condition, not a consecutive-growth streak: at a
    50ms sampling period even a heavily lossy link skips ticks. *)
-let sustained_drops_rule ?(min_drops = 5.0) ?(window = 20) () =
+let sustained_drops_rule () =
+  let min_drops = 5.0 and window = 20 in
   let history = ref [] (* newest first, at most [window] totals *) in
   sample_rule ~name:"sustained-drops" (fun sample ->
       let total =
@@ -108,9 +109,9 @@ let sustained_drops_rule ?(min_drops = 5.0) ?(window = 20) () =
       else None)
 
 (* Replica health divergence: the execution frontiers of *running*
-   replicas have spread beyond [max_spread] sequence numbers — a
-   partitioned or struggling replica is falling behind the quorum. *)
-let divergence_rule ?(max_spread = 5.0) () =
+   replicas have spread beyond five sequence numbers — a partitioned or
+   struggling replica is falling behind the quorum. *)
+let divergence_rule () =
   sample_rule ~name:"replica-divergence" (fun sample ->
       let running =
         List.filter
@@ -128,7 +129,7 @@ let divergence_rule ?(max_spread = 5.0) () =
               (fun (lo, hi) (_, e) -> (Float.min lo e, Float.max hi e))
               (e0, e0) running
           in
-          if hi -. lo > max_spread then
+          if hi -. lo > 5.0 then
             Some (Printf.sprintf "running replicas span exec %.0f..%.0f" lo hi)
           else None)
 
@@ -150,6 +151,9 @@ let default_sample_rules () =
     replica_down_rule ();
   ]
 
+(* Malformed frames, leader suspicion, store faults (replay gap / corrupt
+   WAL / bad checkpoint / disk wipe), and chi-square bad-data flags
+   ([fdia.flagged]). *)
 let default_event_rules () =
   [
     event_rule ~name:"malformed-frames" ~kinds:[ "frame.malformed" ] ~threshold:3
@@ -172,6 +176,8 @@ let raise_alarm t ~time ~rule ~detail =
   | Some fl -> Flight.record fl ~time ~severity:Flight.Alarm ~subsystem:"alert" ~kind:rule detail
   | None -> ()
 
+(* Feed one flight event through the event rules (done automatically for
+   a subscribed recorder). *)
 let observe_event t (e : Flight.event) =
   (* Alarms the engine itself writes back must not feed rules. *)
   if not (String.equal e.Flight.ev_subsystem "alert") then

@@ -32,28 +32,6 @@ val event_rule :
   unit ->
   event_rule
 
-(** Durable store more than [max_windows] (default 2) checkpoint windows
-    behind its replica's execution frontier. *)
-val checkpoint_lag_rule : ?max_windows:float -> unit -> sample_rule
-
-(** Total Spines drops grew by at least [min_drops] (default 5) within
-    the last [window] (default 20) evaluations. *)
-val sustained_drops_rule : ?min_drops:float -> ?window:int -> unit -> sample_rule
-
-(** Running replicas' execution frontiers span more than [max_spread]
-    (default 5) sequence numbers. *)
-val divergence_rule : ?max_spread:float -> unit -> sample_rule
-
-(** Any Prime replica reports [running = 0]. *)
-val replica_down_rule : unit -> sample_rule
-
-val default_sample_rules : unit -> sample_rule list
-
-(** Malformed frames, leader suspicion, store faults (replay gap /
-    corrupt WAL / bad checkpoint / disk wipe), and chi-square bad-data
-    flags ([fdia.flagged]). *)
-val default_event_rules : unit -> event_rule list
-
 type t
 
 (** Fresh engine; default rules unless overridden. When [flight] is
@@ -65,10 +43,6 @@ val create :
   ?flight:Flight.t ->
   unit ->
   t
-
-(** Feed one flight event through the event rules (done automatically
-    for a subscribed recorder). *)
-val observe_event : t -> Flight.event -> unit
 
 (** Evaluate every sample rule against a probe sample taken at [time]. *)
 val evaluate : t -> time:float -> sample -> unit

@@ -26,7 +26,3 @@ let end_to_end_stage = ("end-to-end", Registry.stage_flip, Registry.stage_repain
 
 let reaction_breakdown reg =
   Span.stage_breakdown (Registry.spans reg) ~stages:(reaction_stages @ [ end_to_end_stage ])
-
-(* Per-stage summaries as a JSON object keyed by stage label. *)
-let breakdown_json breakdown =
-  Json.Obj (List.map (fun (label, s) -> (label, summary_to_json s)) breakdown)

@@ -73,6 +73,4 @@ val event_to_json : event -> Json.t
     same-seed runs. *)
 val to_jsonl : t -> string
 
-val write_jsonl : out_channel -> t -> unit
-
 val dump_file : t -> path:string -> unit

@@ -280,5 +280,3 @@ let member key = function
   | _ -> None
 
 let num = function Num x -> Some x | _ -> None
-
-let str = function Str s -> Some s | _ -> None

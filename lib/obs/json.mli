@@ -28,5 +28,3 @@ val parse_opt : string -> t option
 val member : string -> t -> t option
 
 val num : t -> float option
-
-val str : t -> string option

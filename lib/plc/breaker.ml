@@ -17,20 +17,18 @@ type t = {
   mutable actuations : int;
 }
 
-let create ?(initial = Closed) ?(actuation_delay = 0.08) ~engine name =
+let create ?(actuation_delay = 0.08) ~engine name =
   {
     name;
     engine;
-    commanded = initial;
-    actual = initial;
+    commanded = Closed;
+    actual = Closed;
     actuation_delay;
     listeners = [];
     actuations = 0;
   }
 
 let name t = t.name
-
-let actual t = t.actual
 
 let commanded t = t.commanded
 

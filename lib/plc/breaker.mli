@@ -6,11 +6,9 @@ type position = Open | Closed
 
 type t
 
-val create : ?initial:position -> ?actuation_delay:float -> engine:Sim.Engine.t -> string -> t
+val create : ?actuation_delay:float -> engine:Sim.Engine.t -> string -> t
 
 val name : t -> string
-
-val actual : t -> position
 
 val commanded : t -> position
 
@@ -30,7 +28,5 @@ val command : t -> position -> unit
 val force : t -> position -> unit
 
 val toggle_force : t -> unit
-
-val position_to_string : position -> string
 
 val pp : Format.formatter -> t -> unit

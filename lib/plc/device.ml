@@ -53,10 +53,6 @@ let wire_breaker t ~coil breaker =
   t.breakers.(coil) <- Some breaker;
   t.coils.(coil) <- Breaker.commanded breaker = Breaker.Closed
 
-let breaker t ~coil = t.breakers.(coil)
-
-let coil_state t ~coil = t.coils.(coil)
-
 (* Actual position as seen by the process image: 1 = closed. *)
 let holding_value t i =
   match t.breakers.(i) with

@@ -32,10 +32,6 @@ val logic_compromised : t -> bool
 (** Wire a breaker to a coil. Raises [Invalid_argument] on a bad coil. *)
 val wire_breaker : t -> coil:int -> Breaker.t -> unit
 
-val breaker : t -> coil:int -> Breaker.t option
-
-val coil_state : t -> coil:int -> bool
-
 (** Process one Modbus request (exposed for unit tests; network service
     via {!serve_on}). *)
 val handle_request : t -> Modbus.request Modbus.framed -> Modbus.response Modbus.framed

@@ -203,10 +203,3 @@ let decode_response s =
     | code -> raise (Decode_error (Printf.sprintf "unsupported response 0x%02x" code))
   in
   { sequence; body }
-
-let describe_request = function
-  | Read_class { classes } ->
-      Printf.sprintf "read-class [%s]" (String.concat ";" (List.map string_of_int classes))
-  | Read_analogs -> "read-analogs"
-  | Operate { index; close } -> Printf.sprintf "operate %d=%b" index close
-  | Clear_events -> "clear-events"

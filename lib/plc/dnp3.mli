@@ -35,5 +35,3 @@ val encode_response : response framed -> string
 val decode_request : string -> request framed
 
 val decode_response : string -> response framed
-
-val describe_request : request -> string

@@ -186,9 +186,3 @@ let decode_response s =
    truncate to the count they asked for. *)
 let truncate_coils bits count =
   List.filteri (fun i _ -> i < count) bits
-
-let describe_request = function
-  | Read_coils { addr; count } -> Printf.sprintf "read-coils %d+%d" addr count
-  | Write_single_coil { addr; value } -> Printf.sprintf "write-coil %d=%b" addr value
-  | Read_holding_registers { addr; count } -> Printf.sprintf "read-regs %d+%d" addr count
-  | Write_single_register { addr; value } -> Printf.sprintf "write-reg %d=%d" addr value

@@ -36,5 +36,3 @@ val decode_response : string -> response framed
 
 (** Coil responses pad to whole bytes; keep only the first [count]. *)
 val truncate_coils : bool list -> int -> bool list
-
-val describe_request : request -> string

@@ -39,8 +39,6 @@ let name t = t.name
 
 let counters t = t.counters
 
-let n_points t = Array.length t.breakers
-
 let pending_events t = List.length t.events
 
 let events_overflowed t = t.events_overflowed

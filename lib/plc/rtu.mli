@@ -17,8 +17,6 @@ val name : t -> string
 
 val counters : t -> Sim.Stats.Counter.t
 
-val n_points : t -> int
-
 val pending_events : t -> int
 
 (** Did the event buffer shed events? (Masters must integrity-poll.) *)

@@ -46,8 +46,6 @@ val breaker_matters : t -> string -> bool
 
 val total_demand_mw : t -> float
 
-val tie_limit_mw : float
-
 type solution = {
   flows_mw : float array;
   line_live : bool array;
@@ -85,10 +83,6 @@ val points_for : t -> plc:string -> point array
 
 (** All point names, sorted — the replicated state's telemetry slots. *)
 val point_names : t -> string list
-
-val scale_mw : float -> int
-
-val scale_hz : float -> int
 
 (** Scaled integer reading for one point given a solution and the
     electrical trip predicate. *)

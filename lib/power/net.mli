@@ -20,8 +20,6 @@ val bind_breaker : t -> Plc.Breaker.t -> unit
 (** Standalone co-simulation: set a breaker position directly. *)
 val set_breaker : t -> string -> closed:bool -> unit
 
-val breaker_closed : t -> string -> bool
-
 val solution : t -> Model.solution
 
 val frequency_hz : t -> float
@@ -33,8 +31,6 @@ val shed_mw : t -> float
 val total_demand_mw : t -> float
 
 val tripped_lines : t -> int
-
-val line_tripped : t -> string -> bool
 
 (** DC solves performed so far. *)
 val solves : t -> int

@@ -128,13 +128,6 @@ let enable_retransmit t ~period =
                  end)
                t.pending))
 
-let disable_retransmit t =
-  match t.retransmit_timer with
-  | Some timer ->
-      Sim.Engine.cancel_timer t.engine timer;
-      t.retransmit_timer <- None
-  | None -> ()
-
 let is_confirmed t ~client_seq =
   match Hashtbl.find_opt t.pending client_seq with
   | Some p -> p.confirmed

@@ -31,8 +31,6 @@ val handle_reply : t -> Msg.t -> unit
     message loss during network failover or replica recovery). *)
 val enable_retransmit : t -> period:float -> unit
 
-val disable_retransmit : t -> unit
-
 val is_confirmed : t -> client_seq:int -> bool
 
 (** Client sequence numbers not yet confirmed. *)

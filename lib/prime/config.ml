@@ -11,35 +11,25 @@ type t = {
   k : int; (* simultaneous proactive recoveries *)
   n : int;
   quorum : int; (* 2f + k + 1 *)
-  delta_pp : float; (* pre-prepare emission interval when updates are flowing *)
-  summary_period : float; (* PO-summary emission interval when aru changed *)
-  heartbeat_period : float; (* idle-leader pre-prepare heartbeat *)
-  tat_check_period : float; (* suspect-leader evaluation interval *)
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
-  reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
   batch_signing : bool; (* aggregate outbound ack/prepare/commit signatures *)
   batch_window : float; (* accumulation window before a batch flush *)
   sig_cache_capacity : int; (* verified-signature cache entries (0 disables) *)
-  egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
-  coalesce_window : float; (* Spines: egress flush window, seconds *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
 }
 
-let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
-    ?(heartbeat_period = 0.5) ?(tat_check_period = 0.25) ?(tat_allowance = 0.25)
-    ?(reconcile_period = 0.1) ?(log_retention = 1000) ?(batch_signing = true)
-    ?(batch_window = 0.002) ?(sig_cache_capacity = 512) ?(egress_capacity = 256)
-    ?(coalesce_window = 0.0005) ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024)
-    ?(fsync_every = 8) () =
+let create ?(f = 1) ?(k = 0) ?(tat_allowance = 0.25) ?(log_retention = 1000)
+    ?(batch_signing = true) ?(batch_window = 0.002) ?(sig_cache_capacity = 512)
+    ?(checkpoint_interval = 64) ?(wal_segment_size = 64 * 1024) ?(fsync_every = 8) () =
   if f < 1 then invalid_arg "Config.create: f must be >= 1";
   if k < 0 then invalid_arg "Config.create: k must be >= 0";
+  if tat_allowance <= 0.0 then invalid_arg "Config.create: tat_allowance must be > 0";
+  if log_retention < 1 then invalid_arg "Config.create: log_retention must be >= 1";
   if batch_window < 0.0 then invalid_arg "Config.create: batch_window must be >= 0";
   if sig_cache_capacity < 0 then invalid_arg "Config.create: sig_cache_capacity must be >= 0";
-  if egress_capacity < 1 then invalid_arg "Config.create: egress_capacity must be >= 1";
-  if coalesce_window < 0.0 then invalid_arg "Config.create: coalesce_window must be >= 0";
   if checkpoint_interval < 1 then invalid_arg "Config.create: checkpoint_interval must be >= 1";
   if wal_segment_size < 64 then invalid_arg "Config.create: wal_segment_size must be >= 64";
   if fsync_every < 1 then invalid_arg "Config.create: fsync_every must be >= 1";
@@ -48,18 +38,11 @@ let create ?(f = 1) ?(k = 0) ?(delta_pp = 0.03) ?(summary_period = 0.01)
     k;
     n = (3 * f) + (2 * k) + 1;
     quorum = (2 * f) + k + 1;
-    delta_pp;
-    summary_period;
-    heartbeat_period;
-    tat_check_period;
     tat_allowance;
-    reconcile_period;
     log_retention;
     batch_signing;
     batch_window;
     sig_cache_capacity;
-    egress_capacity;
-    coalesce_window;
     checkpoint_interval;
     wal_segment_size;
     fsync_every;

@@ -2,45 +2,33 @@
     intrusions while k replicas undergo proactive recovery, with quorums
     of 2f + k + 1. *)
 
-type t = {
+(** A private record: fields read directly, but only [create] builds one,
+    so [n] and [quorum] always match [f] and [k]. *)
+type t = private {
   f : int; (* tolerated intrusions *)
   k : int; (* simultaneous proactive recoveries *)
   n : int; (* 3f + 2k + 1 *)
   quorum : int; (* 2f + k + 1 *)
-  delta_pp : float; (* pre-prepare emission interval while updates flow *)
-  summary_period : float; (* PO-summary emission interval when aru changed *)
-  heartbeat_period : float; (* idle-leader pre-prepare heartbeat *)
-  tat_check_period : float; (* suspect-leader evaluation interval *)
   tat_allowance : float; (* acceptable turnaround beyond network delay *)
-  reconcile_period : float; (* missing-update re-request interval *)
   log_retention : int; (* ordered-log entries kept for catchup *)
   batch_signing : bool; (* aggregate outbound ack/prepare/commit signatures *)
   batch_window : float; (* accumulation window before a batch flush *)
   sig_cache_capacity : int; (* verified-signature cache entries (0 disables) *)
-  egress_capacity : int; (* Spines: per-neighbor egress queue bound *)
-  coalesce_window : float; (* Spines: egress flush window, seconds *)
   checkpoint_interval : int; (* executions between durable checkpoints *)
   wal_segment_size : int; (* bytes per WAL segment before rotation *)
   fsync_every : int; (* WAL appends between durability points *)
 }
 
-(** Raises [Invalid_argument] for f < 1 or k < 0 (and on out-of-range
-    batching/egress knobs). *)
+(** Raises [Invalid_argument] for f < 1, k < 0, tat_allowance <= 0,
+    log_retention < 1, and on out-of-range batching/store knobs. *)
 val create :
   ?f:int ->
   ?k:int ->
-  ?delta_pp:float ->
-  ?summary_period:float ->
-  ?heartbeat_period:float ->
-  ?tat_check_period:float ->
   ?tat_allowance:float ->
-  ?reconcile_period:float ->
   ?log_retention:int ->
   ?batch_signing:bool ->
   ?batch_window:float ->
   ?sig_cache_capacity:int ->
-  ?egress_capacity:int ->
-  ?coalesce_window:float ->
   ?checkpoint_interval:int ->
   ?wal_segment_size:int ->
   ?fsync_every:int ->

@@ -115,9 +115,6 @@ let replica_identity =
         Hashtbl.replace memo rep id;
         id
 
-let verify_summary ks s =
-  Crypto.Auth.verify ks ~signer:(replica_identity s.sum_rep) (encode_summary s) s.sum_sig
-
 (* The proof matrix carried by a pre-prepare: the freshest summary the
    leader holds from each replica (None until one is received). Only the
    summary *bodies* enter the matrix encoding — each summary's own

@@ -42,8 +42,6 @@ val encode_summary_body : sum_rep:int -> aru:int array -> string
 
 val encode_summary : summary -> string
 
-val verify_summary : Crypto.Signature.keystore -> summary -> bool
-
 (** The proof matrix carried by a pre-prepare: freshest summary per
     replica. Matrix encodings cover only the summary bodies (each
     summary's authenticator is verified separately), so the digest is

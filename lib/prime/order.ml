@@ -10,7 +10,6 @@
    the replica fetches them via reconciliation and retries. *)
 
 type instance = {
-  pp_seq : int;
   mutable inst_view : int;
   mutable matrix : Msg.matrix option;
   mutable digest : Crypto.Sha256.digest option;
@@ -28,7 +27,6 @@ type instance = {
 
 type t = {
   config : Config.t;
-  my_id : int;
   instances : (int, instance) Hashtbl.t; (* by pp_seq *)
   mutable next_exec_pp : int; (* lowest pp_seq not yet executed *)
   exec_cursor : int array; (* per-origin: preorder seq executed through *)
@@ -36,10 +34,9 @@ type t = {
   mutable max_seen_pp : int;
 }
 
-let create config ~my_id =
+let create config =
   {
     config;
-    my_id;
     instances = Hashtbl.create 1024;
     next_exec_pp = 1;
     exec_cursor = Array.make config.Config.n 0;
@@ -53,7 +50,6 @@ let instance_for t pp_seq =
   | None ->
       let i =
         {
-          pp_seq;
           inst_view = -1;
           matrix = None;
           digest = None;
@@ -215,9 +211,6 @@ let max_ordered_seen t =
 
 let is_ordered t pp_seq =
   match Hashtbl.find_opt t.instances pp_seq with Some i -> i.ordered | None -> false
-
-let is_prepared t pp_seq =
-  match Hashtbl.find_opt t.instances pp_seq with Some i -> i.prepared | None -> false
 
 (* Execution: walk ordered instances in pp_seq order; for each, derive
    per-origin eligibility from the matrix and execute newly-eligible

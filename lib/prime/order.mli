@@ -4,7 +4,7 @@
 
 type t
 
-val create : Config.t -> my_id:int -> t
+val create : Config.t -> t
 
 (** Highest pre-prepare sequence seen (ordered or not). *)
 val max_seen_pp : t -> int
@@ -78,8 +78,6 @@ val install_cert :
 val max_ordered_seen : t -> int
 
 val is_ordered : t -> int -> bool
-
-val is_prepared : t -> int -> bool
 
 type missing = { miss_origin : int; miss_po_seq : int }
 

@@ -212,8 +212,6 @@ let receive_summary t (s : Msg.summary) =
   in
   if fresher then t.summaries.(s.Msg.sum_rep) <- Some s
 
-let stored_summary t rep = t.summaries.(rep)
-
 (* The proof matrix a leader would propose right now: peers' freshest
    summaries plus my own current vector (signed by the caller). *)
 let matrix t ~my_summary : Msg.matrix =
@@ -251,5 +249,3 @@ let update_for t ~origin ~po_seq =
   match Hashtbl.find_opt t.slots (origin, po_seq) with
   | Some { update = Some u; _ } -> Some u
   | Some _ | None -> None
-
-let have_update t ~origin ~po_seq = update_for t ~origin ~po_seq <> None

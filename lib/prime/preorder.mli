@@ -61,8 +61,6 @@ val receive_ack :
 (** Keep the freshest summary per replica. *)
 val receive_summary : t -> Msg.summary -> unit
 
-val stored_summary : t -> int -> Msg.summary option
-
 (** The matrix a leader would propose now: stored summaries plus the
     caller's own current (signed) summary. *)
 val matrix : t -> my_summary:Msg.summary -> Msg.matrix
@@ -77,5 +75,3 @@ val store_body :
   t -> origin:int -> po_seq:int -> Msg.Update.t -> [ `Stored | `Mismatch ]
 
 val update_for : t -> origin:int -> po_seq:int -> Msg.Update.t option
-
-val have_update : t -> origin:int -> po_seq:int -> bool

@@ -82,7 +82,7 @@ type t = {
   executed_clients : (string * int, int) Hashtbl.t; (* executed op -> exec_seq (reply cache) *)
   exec_log : (int, Msg.Update.t) Hashtbl.t;
   mutable awaiting_app_transfer : bool;
-  mutable catchup_votes : (string, int * Msg.t) Hashtbl.t; (* digest -> count, sample *)
+  catchup_votes : (string, int * Msg.t) Hashtbl.t; (* digest -> count, sample *)
   (* reconciliation *)
   outstanding_recon : (int * int, float) Hashtbl.t;
   (* origin resets after proactive recovery *)
@@ -114,6 +114,17 @@ type t = {
   mutable cursors_settled : bool;
 }
 
+(* Protocol timers. *)
+let delta_pp = 0.03 (* pre-prepare emission interval while updates flow *)
+
+let summary_period = 0.01 (* PO-summary emission interval when aru changed *)
+
+let heartbeat_period = 0.5 (* idle-leader pre-prepare heartbeat *)
+
+let tat_check_period = 0.25 (* suspect-leader evaluation interval *)
+
+let reconcile_period = 0.1 (* missing-update re-request interval *)
+
 let null_app =
   { apply = (fun ~exec_seq:_ _ -> ()); state_transfer_needed = (fun () -> ()) }
 
@@ -129,7 +140,7 @@ let create ~engine ~trace ~keystore ~keypair ~transport ~id config =
     transport;
     app = null_app;
     preorder = Preorder.create config ~my_id:id;
-    order = Order.create config ~my_id:id;
+    order = Order.create config;
     view = 0;
     suspected_view = -1;
     suspects = Hashtbl.create 8;
@@ -209,8 +220,6 @@ let exec_seq t = Order.exec_seq t.order
 let is_running t = t.running
 
 let origin_synced t = t.origin_synced
-
-let misbehavior t = t.misbehavior
 
 let is_leader t = t.id = Config.leader_of_view t.config t.view && t.leader_active
 
@@ -596,7 +605,7 @@ let note_tat_covered t (m : Msg.matrix) =
 let rec emit_pre_prepare ?delay_broadcast t =
   let matrix = matrix_for_proposal t in
   let digest_now = Msg.encode_matrix matrix in
-  let heartbeat_due = now t -. t.last_pp_time >= t.config.Config.heartbeat_period in
+  let heartbeat_due = now t -. t.last_pp_time >= heartbeat_period in
   if (not (String.equal digest_now t.last_pp_matrix_digest)) || heartbeat_due then begin
     t.last_pp_matrix_digest <- digest_now;
     t.last_pp_time <- now t;
@@ -946,7 +955,7 @@ let handle_recon_reply t ~rp_origin ~rp_po_seq ~rp_update =
   end
 
 let reconcile_tick t =
-  let horizon = now t -. t.config.Config.reconcile_period in
+  let horizon = now t -. reconcile_period in
   Hashtbl.iter
     (fun (origin, po_seq) asked ->
       if asked < horizon then begin
@@ -1280,24 +1289,20 @@ let handle_message t msg =
     | Msg.Client_reply _ -> () (* replicas do not consume client replies *)
   end
 
-(* Client updates enter through the replica a client session is attached
-   to (in Spire, via the external Spines network). *)
-let submit_update t u = if t.running then handle_client_update t u
-
 (* --- lifecycle ----------------------------------------------------------------------------- *)
 
 let start t =
   if t.running then invalid_arg "Replica.start: already running";
   t.running <- true;
   let summary_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.summary_period (fun () ->
+    Sim.Engine.every t.engine ~period:summary_period (fun () ->
         if not (silent t) then begin
           (* Emit when the vector advanced, and also refresh periodically:
              a lost summary must not leave the leader's matrix stale
              forever once traffic quiesces. *)
           let refresh_due =
             aru_sum (Preorder.aru t.preorder) > 0
-            && now t -. t.last_summary_time >= t.config.Config.heartbeat_period
+            && now t -. t.last_summary_time >= heartbeat_period
           in
           if Preorder.dirty t.preorder then begin
             Preorder.clear_dirty t.preorder;
@@ -1306,13 +1311,13 @@ let start t =
           else if refresh_due then emit_summary ~arm_tat:false t
         end)
   in
-  let pp_timer = Sim.Engine.every t.engine ~period:t.config.Config.delta_pp (fun () -> leader_tick t) in
+  let pp_timer = Sim.Engine.every t.engine ~period:delta_pp (fun () -> leader_tick t) in
   let tat_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.tat_check_period (fun () ->
+    Sim.Engine.every t.engine ~period:tat_check_period (fun () ->
         if not (silent t) then tat_check t)
   in
   let recon_timer =
-    Sim.Engine.every t.engine ~period:t.config.Config.reconcile_period (fun () ->
+    Sim.Engine.every t.engine ~period:reconcile_period (fun () ->
         if not (silent t) then reconcile_tick t)
   in
   let catchup_timer =
@@ -1334,7 +1339,7 @@ let shutdown t =
 let restart_clean t =
   if t.running then shutdown t;
   t.preorder <- Preorder.create t.config ~my_id:t.id;
-  t.order <- Order.create t.config ~my_id:t.id;
+  t.order <- Order.create t.config;
   t.view <- 0;
   t.suspected_view <- -1;
   Hashtbl.reset t.suspects;

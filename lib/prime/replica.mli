@@ -58,9 +58,6 @@ val is_running : t -> bool
     liveness checks poll this to decide a recovered replica has rejoined. *)
 val origin_synced : t -> bool
 
-(** The currently armed misbehaviour knob. *)
-val misbehavior : t -> misbehavior
-
 val set_app : t -> app -> unit
 
 val set_misbehavior : t -> misbehavior -> unit
@@ -87,9 +84,6 @@ val cursors_settled : t -> bool
 
 (** Deliver a protocol message from the transport. *)
 val handle_message : t -> Msg.t -> unit
-
-(** Inject a client update directly (bypassing the network). *)
-val submit_update : t -> Msg.Update.t -> unit
 
 (** Bind timers and begin participating. Raises [Invalid_argument] if
     already running. *)

@@ -128,6 +128,8 @@ let persist_checkpoint t ck =
       (Printf.sprintf "replica %d checkpointed exec %d"
          (Prime.Replica.id t.replica) ck.Store.Checkpoint.ck_exec_seq)
 
+(* Checkpoint the current execution point; the periodic path calls this
+   at settled execution boundaries. *)
 let take_checkpoint t =
   let next_exec_pp, exec_seq, cursor, client_seqs = Prime.Replica.order_state t.replica in
   let ck =

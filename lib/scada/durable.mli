@@ -29,10 +29,6 @@ val latest_checkpoint : t -> Store.Checkpoint.t option
 (** Bytes of checkpoint payload adopted from peers. *)
 val transfer_bytes : t -> int
 
-(** Force a checkpoint at the current execution point (the periodic path
-    calls this automatically at settled execution boundaries). *)
-val take_checkpoint : t -> unit
-
 (** Disk-intact recovery: load the best verified checkpoint slot, replay
     the WAL suffix, and fast-forward the replica. Returns [false] when
     the device holds nothing durable to install (fresh or wiped disk),

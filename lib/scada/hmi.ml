@@ -17,7 +17,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   keystore : Crypto.Signature.keystore;
-  config : Prime.Config.t;
   scenario : Plc.Power.scenario;
   client : Prime.Client.t;
   display : (string, cell) Hashtbl.t;
@@ -33,8 +32,7 @@ let create ~engine ~trace ~keystore ~config ~scenario ~client name =
       engine;
       trace;
       keystore;
-      config;
-      scenario;
+            scenario;
       client;
       display = Hashtbl.create 64;
       display_gate = Threshold.create ~needed:(config.Prime.Config.f + 1) ();

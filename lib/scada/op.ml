@@ -86,12 +86,6 @@ let decode s =
       | _ -> None)
   | _ -> None
 
-let breaker = function
-  | Status { breaker; _ } -> breaker
-  | Command { breaker; _ } -> breaker
-  | Batch { origin; _ } -> origin
-  | Telemetry { origin; _ } -> origin
-
 (* Device updates carried by an op: a batch counts every report;
    telemetry carries measurements, not position updates. *)
 let updates = function

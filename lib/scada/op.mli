@@ -22,8 +22,6 @@ val encode : t -> string
 (** [None] on malformed input (faulty clients must not crash replicas). *)
 val decode : string -> t option
 
-val breaker : t -> string
-
 (** Device updates carried: 1 per status, 0 per command or telemetry,
     report count per batch. *)
 val updates : t -> int

@@ -17,12 +17,11 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   keystore : Crypto.Signature.keystore;
-  config : Prime.Config.t;
   host : Netbase.Host.t;
   plc_ip : Netbase.Addr.Ip.t;
   breaker_names : string array; (* index = coil/register address *)
   client : Prime.Client.t;
-  mutable last_known : bool option array; (* reported closed, per coil *)
+  last_known : bool option array; (* reported closed, per coil *)
   mutable batch_cursor : int; (* monotone sequence for aggregated poll reports *)
   command_gate : Threshold.t;
   mutable transaction : int;
@@ -40,8 +39,7 @@ let create ~engine ~trace ~keystore ~config ~host ~plc_ip ~breaker_names ~client
       engine;
       trace;
       keystore;
-      config;
-      host;
+            host;
       plc_ip;
       breaker_names = Array.of_list breaker_names;
       client;

@@ -13,7 +13,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   keystore : Crypto.Signature.keystore;
-  config : Prime.Config.t;
   host : Netbase.Host.t;
   rtu_ip : Netbase.Addr.Ip.t;
   breaker_names : string array; (* index = DNP3 point index *)
@@ -41,8 +40,7 @@ let create ?(analog_names = []) ~engine ~trace ~keystore ~config ~host ~rtu_ip ~
     engine;
     trace;
     keystore;
-    config;
-    host;
+        host;
     rtu_ip;
     breaker_names = Array.of_list breaker_names;
     analog_names = Array.of_list analog_names;

@@ -35,8 +35,6 @@ let create ?(seed = 0x5CADAL) ?(hint = 64) () =
 
 let now t = t.now
 
-let rng t = t.rng
-
 let split_rng t = Rng.split t.rng
 
 let executed_events t = t.executed
@@ -104,7 +102,7 @@ let run ?until ?(max_events = max_int) t =
    pending event. *)
 type timer = { mutable next_event : event_id; mutable active : bool }
 
-let every t ~period ?(jitter = 0.0) thunk =
+let every t ~period thunk =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   let timer = { next_event = 0; active = true } in
   let rec arm delay =
@@ -112,9 +110,7 @@ let every t ~period ?(jitter = 0.0) thunk =
       schedule t ~delay (fun () ->
           if timer.active then begin
             thunk ();
-            if timer.active then
-              let extra = if jitter > 0.0 then Rng.float t.rng jitter else 0.0 in
-              arm (period +. extra)
+            if timer.active then arm period
           end)
   in
   arm period;

@@ -20,9 +20,6 @@ val create : ?seed:int64 -> ?hint:int -> unit -> t
 (** Current virtual time in seconds. *)
 val now : t -> float
 
-(** The engine's root RNG. Prefer [split_rng] for per-subsystem streams. *)
-val rng : t -> Rng.t
-
 (** A fresh RNG stream independent of other consumers. *)
 val split_rng : t -> Rng.t
 
@@ -68,9 +65,9 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 (** Request that [run] return after the current event. *)
 val stop : t -> unit
 
-(** [every t ~period ?jitter f] runs [f] every [period] (plus uniform
-    random [jitter]) seconds, starting one period from now. *)
-val every : t -> period:float -> ?jitter:float -> (unit -> unit) -> timer
+(** [every t ~period f] runs [f] every [period] seconds, starting one
+    period from now. *)
+val every : t -> period:float -> (unit -> unit) -> timer
 
 (** Stop a recurring timer. Idempotent. *)
 val cancel_timer : t -> timer -> unit

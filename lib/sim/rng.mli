@@ -40,6 +40,3 @@ val pick : t -> 'a array -> 'a
 
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [bytes t n] draws [n] uniformly random bytes as a string. *)
-val bytes : t -> int -> string

@@ -133,9 +133,8 @@ let serve_order band =
   let after, upto = List.partition (fun o -> o > band.cursor) origins in
   after @ upto
 
-let drain ?(max = max_int) t =
+let drain t =
   let out = ref [] in
-  let taken = ref 0 in
   let prios =
     Hashtbl.fold (fun p band acc -> if band.b_len > 0 then p :: acc else acc) t.bands []
     |> List.sort (fun a b -> compare b a)
@@ -144,21 +143,18 @@ let drain ?(max = max_int) t =
     (fun prio ->
       let band = Hashtbl.find t.bands prio in
       let rec round () =
-        if !taken < max && band.b_len > 0 then begin
+        if band.b_len > 0 then begin
           List.iter
             (fun origin ->
-              if !taken < max then begin
-                match Hashtbl.find_opt band.queues origin with
-                | Some q when not (Queue.is_empty q) ->
-                    let msg = Queue.pop q in
-                    if Queue.is_empty q then Hashtbl.remove band.queues origin;
-                    band.cursor <- origin;
-                    band.b_len <- band.b_len - 1;
-                    t.length <- t.length - 1;
-                    incr taken;
-                    out := (prio, origin, msg) :: !out
-                | _ -> ()
-              end)
+              match Hashtbl.find_opt band.queues origin with
+              | Some q when not (Queue.is_empty q) ->
+                  let msg = Queue.pop q in
+                  if Queue.is_empty q then Hashtbl.remove band.queues origin;
+                  band.cursor <- origin;
+                  band.b_len <- band.b_len - 1;
+                  t.length <- t.length - 1;
+                  out := (prio, origin, msg) :: !out
+              | _ -> ())
             (serve_order band);
           round ()
         end

@@ -33,10 +33,10 @@ val drops : 'a t -> int
     lowest band (ties toward the higher origin id). *)
 val enqueue : 'a t -> prio:int -> origin:int -> 'a -> 'a outcome
 
-(** Dequeues up to [max] messages (default: everything) in send order:
+(** Dequeues every queued message in send order:
     priority bands highest-first; within a band one message per origin,
     round-robin in sorted origin order, with the fairness cursor
     persisting across drains. Returns [(prio, origin, msg)] triples. *)
-val drain : ?max:int -> 'a t -> (int * int * 'a) list
+val drain : 'a t -> (int * int * 'a) list
 
 val clear : 'a t -> unit

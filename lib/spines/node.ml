@@ -89,14 +89,20 @@ type config = {
   session_timeout : float; (* attachment freshness bound *)
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
   egress_capacity : int; (* per-neighbor egress queue bound, messages *)
-  coalesce_window : float; (* egress flush window, seconds *)
 }
 
+(* Egress flush window: link messages queued within it share one frame. *)
+let coalesce_window = 0.0005
+
+(* Priority of client data; LSAs and hellos ride above it. *)
+let data_priority = 1
+
+(* Per-origin dedup horizon of daemons (by default) and sessions. *)
+let default_dedup_window = 4096
+
 let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
-    ?(dedup_window = 4096) ?(egress_capacity = 256) ?(coalesce_window = 0.0005) topology =
+    ?(dedup_window = default_dedup_window) ?(egress_capacity = 256) topology =
   if egress_capacity < 1 then invalid_arg "Node.default_config: egress_capacity must be >= 1";
-  if coalesce_window < 0.0 then
-    invalid_arg "Node.default_config: coalesce_window must be >= 0";
   {
     topology;
     port;
@@ -109,7 +115,6 @@ let default_config ?(port = 8100) ?session_port ?(it_mode = true) ?group_key
     session_timeout = 5.0;
     dedup_window;
     egress_capacity;
-    coalesce_window;
   }
 
 type client = {
@@ -438,7 +443,7 @@ let schedule_flush t to_ es =
   | None ->
       es.flush_event <-
         Some
-          (Sim.Engine.schedule t.engine ~delay:t.config.coalesce_window (fun () ->
+          (Sim.Engine.schedule t.engine ~delay:coalesce_window (fun () ->
                flush_egress t to_ es))
 
 let enqueue_link t ~to_ ~prio ~origin inner =
@@ -805,7 +810,7 @@ let register_client t ~client ?(groups = []) handler =
     invalid_arg (Printf.sprintf "Node.register_client: client %d exists on node %d" client t.id);
   Hashtbl.replace t.clients client { handler; groups }
 
-let send t ~client ?(priority = 1) ~size dst payload =
+let send t ~client ~size dst payload =
   if not t.running then Sim.Stats.Counter.incr t.counters "send.not_running"
   else begin
     t.seq <- t.seq + 1;
@@ -815,7 +820,7 @@ let send t ~client ?(priority = 1) ~size dst payload =
         origin_client = client;
         data_seq = t.seq;
         dst;
-        priority;
+        priority = data_priority;
         app_size = size;
         app_payload = payload;
       }
@@ -848,12 +853,13 @@ module Session = struct
     sess_counters : Sim.Stats.Counter.t;
     mutable sess_timers : Sim.Engine.timer list;
     mutable sess_running : bool;
-    attach_period : float;
-    failover_timeout : float;
   }
 
-  let create ?(attach_period = 1.0) ?(failover_timeout = 3.0) ?(local_port = 9001)
-      ?(dedup_window = 4096) ~engine ~trace ~host ~key ~daemons ~daemon_session_port ~name
+  let attach_period = 1.0 (* re-attachment heartbeat *)
+
+  let failover_timeout = 3.0 (* daemon silence before rotating to the next *)
+
+  let create ?(local_port = 9001) ~engine ~trace ~host ~key ~daemons ~daemon_session_port ~name
       () =
     if daemons = [] then invalid_arg "Session.create: no daemons";
     {
@@ -868,12 +874,10 @@ module Session = struct
       current = 0;
       last_ack = 0.0;
       handler = None;
-      sess_dedup = Window.create ~span:dedup_window ();
+      sess_dedup = Window.create ~span:default_dedup_window ();
       sess_counters = Sim.Stats.Counter.create ();
       sess_timers = [];
       sess_running = false;
-      attach_period;
-      failover_timeout;
     }
 
   let name s = s.sess_name
@@ -896,7 +900,7 @@ module Session = struct
 
   let attach_tick s =
     let now = Sim.Engine.now s.engine in
-    if now -. s.last_ack > s.failover_timeout then begin
+    if now -. s.last_ack > failover_timeout then begin
       (* Current daemon is silent (stopped, recovering, unreachable):
          rotate to the next one. *)
       let previous = s.current in
@@ -944,7 +948,7 @@ module Session = struct
     s.last_ack <- Sim.Engine.now s.engine;
     send_wire s (Sess_attach { sa_name = s.sess_name });
     s.sess_timers <-
-      [ Sim.Engine.every s.engine ~period:s.attach_period (fun () -> attach_tick s) ]
+      [ Sim.Engine.every s.engine ~period:attach_period (fun () -> attach_tick s) ]
 
   let stop s =
     if s.sess_running then begin
@@ -954,10 +958,10 @@ module Session = struct
       s.sess_timers <- []
     end
 
-  let send s ?(priority = 1) ~size dst payload =
+  let send s ~size dst payload =
     Sim.Stats.Counter.incr s.sess_counters "sent";
     send_wire s
       (Sess_send
-         { ss_name = s.sess_name; ss_dst = dst; ss_priority = priority; ss_size = size;
+         { ss_name = s.sess_name; ss_dst = dst; ss_priority = data_priority; ss_size = size;
            ss_payload = payload })
 end

@@ -29,11 +29,9 @@ type config = {
   session_timeout : float;
   dedup_window : int; (* per-origin sequence horizon for dedup eviction *)
   egress_capacity : int; (* per-neighbor egress queue bound, messages *)
-  coalesce_window : float; (* egress flush window, seconds *)
 }
 
-(** Raises [Invalid_argument] on [egress_capacity < 1] or negative
-    [coalesce_window]. *)
+(** Raises [Invalid_argument] on [egress_capacity < 1]. *)
 val default_config :
   ?port:int ->
   ?session_port:int ->
@@ -41,12 +39,8 @@ val default_config :
   ?group_key:string ->
   ?dedup_window:int ->
   ?egress_capacity:int ->
-  ?coalesce_window:float ->
   Topology.t ->
   config
-
-(** Overlay message overhead added to every client payload, bytes. *)
-val overhead_bytes : int
 
 type t
 
@@ -109,7 +103,7 @@ val register_client :
 (** Send from a local client. Local destinations are delivered directly;
     remote ones disseminated per the configured mode. *)
 val send :
-  t -> client:int -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
+  t -> client:int -> size:int -> dst -> Netbase.Packet.payload -> unit
 
 (** Remote session client: how proxies and HMIs reach the overlay. A
     session attaches by name to one daemon at a time (heartbeat
@@ -121,10 +115,7 @@ module Session : sig
   type session
 
   val create :
-    ?attach_period:float ->
-    ?failover_timeout:float ->
     ?local_port:int ->
-    ?dedup_window:int ->
     engine:Sim.Engine.t ->
     trace:Sim.Trace.t ->
     host:Netbase.Host.t ->
@@ -151,5 +142,5 @@ module Session : sig
   val stop : session -> unit
 
   (** Send into the overlay through the current daemon. *)
-  val send : session -> ?priority:int -> size:int -> dst -> Netbase.Packet.payload -> unit
+  val send : session -> size:int -> dst -> Netbase.Packet.payload -> unit
 end

@@ -76,6 +76,8 @@ let full_mesh nodes =
   in
   create ~nodes ~links:(pairs nodes)
 
+(* Precomputed [(neighbor, weight)] array for a node, sorted by neighbor
+   id ([| |] for unknown nodes). *)
 let adjacency t id =
   match Hashtbl.find_opt t.adjacency id with Some a -> a | None -> [||]
 

@@ -25,10 +25,6 @@ val link : ?weight:float -> node_id -> node_id -> link
 (** Complete graph over the nodes (the replicas' internal network). *)
 val full_mesh : node_id list -> t
 
-(** Precomputed [(neighbor, weight)] array for a node, sorted by
-    neighbor id ([| |] for unknown nodes). *)
-val adjacency : t -> node_id -> (node_id * float) array
-
 val neighbors : t -> node_id -> node_id list
 
 module View : sig

@@ -29,6 +29,7 @@ type t = {
   ck_auth : Crypto.Auth.t;
 }
 
+(* Canonical order for client dedup keys. *)
 let sort_client_seqs seqs =
   List.sort_uniq
     (fun (c1, s1) (c2, s2) ->
@@ -56,6 +57,8 @@ let leaves ~exec_seq ~next_exec_pp ~cursor ~client_seqs ~app_root =
   let app_leaf = Wire.encode ~size_hint:40 (fun b -> Wire.w_digest b app_root) in
   [ meta; cursor_leaf; clients_leaf; app_leaf ]
 
+(* Merkle root over the checkpoint content. The same logical state always
+   produces the same root, whichever replica snapshots it. *)
 let root_of ~exec_seq ~next_exec_pp ~cursor ~client_seqs ~app_root =
   Crypto.Merkle.root (leaves ~exec_seq ~next_exec_pp ~cursor ~client_seqs ~app_root)
 

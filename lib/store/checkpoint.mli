@@ -23,19 +23,6 @@ type t = {
   ck_auth : Crypto.Auth.t;
 }
 
-(** Canonical sort for client dedup keys (applied by {!make}). *)
-val sort_client_seqs : (string * int) list -> (string * int) list
-
-(** Merkle root over the checkpoint content. The same logical state
-    always produces the same root, whichever replica snapshots it. *)
-val root_of :
-  exec_seq:int ->
-  next_exec_pp:int ->
-  cursor:int array ->
-  client_seqs:(string * int) list ->
-  app_root:Crypto.Sha256.digest ->
-  Crypto.Sha256.digest
-
 (** The domain-separated byte string the signature covers. *)
 val root_binding : Crypto.Sha256.digest -> string
 

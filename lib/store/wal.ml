@@ -27,6 +27,7 @@ let crc_table =
          done;
          !c))
 
+(* CRC-32 (IEEE) of a byte string. *)
 let crc32 s =
   let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFF in
@@ -44,7 +45,6 @@ type t = {
   mutable seg_bytes : int; (* bytes written to [seg_hi] *)
   mutable unsynced : int; (* appends since the last fsync *)
   mutable records : int; (* records appended this incarnation *)
-  mutable records_synced : int; (* of those, covered by an fsync *)
   mutable bytes_appended : int;
 }
 
@@ -67,7 +67,6 @@ let create ?(prefix = "wal") ?(segment_size = 64 * 1024) ?(fsync_every = 8) medi
       seg_bytes = 0;
       unsynced = 0;
       records = 0;
-      records_synced = 0;
       bytes_appended = 0;
     }
   in
@@ -96,8 +95,6 @@ let current_segment t = t.seg_hi
 
 let records_appended t = t.records
 
-let records_synced t = t.records_synced
-
 let bytes_appended t = t.bytes_appended
 
 let segment_count t = t.seg_hi - t.seg_lo + 1
@@ -106,7 +103,6 @@ let sync t =
   if t.unsynced > 0 then begin
     Media.fsync t.media ~file:(segment_file t t.seg_hi);
     t.unsynced <- 0;
-    t.records_synced <- t.records;
     Sim.Stats.Counter.incr t.counters "wal.fsync"
   end
 
@@ -121,7 +117,6 @@ let append t payload =
     (* Rotation syncs the finished segment: a sealed segment is always
        fully durable. *)
     Media.fsync t.media ~file:(segment_file t t.seg_hi);
-    t.records_synced <- t.records;
     t.seg_hi <- t.seg_hi + 1;
     t.seg_bytes <- 0;
     t.unsynced <- 0;
@@ -186,7 +181,6 @@ let replay t ~f =
     incr seg
   done;
   t.records <- !applied;
-  t.records_synced <- !applied;
   t.unsynced <- 0;
   Sim.Stats.Counter.incr t.counters "wal.replay";
   !applied
@@ -212,5 +206,4 @@ let reset t =
   t.seg_hi <- 0;
   t.seg_bytes <- 0;
   t.unsynced <- 0;
-  t.records <- 0;
-  t.records_synced <- 0
+  t.records <- 0

@@ -33,12 +33,6 @@ val reset : t -> unit
 
 val records_appended : t -> int
 
-(** Records covered by a durability point (fsync or rotation). *)
-val records_synced : t -> int
-
 val bytes_appended : t -> int
 
 val segment_count : t -> int
-
-(** CRC-32 (IEEE) of a byte string — exposed for tests. *)
-val crc32 : string -> int

@@ -235,7 +235,7 @@ let test_fdia_detected_by_chi2_only () =
   in
   Sim.Engine.run ~until:6.0 engine;
   check "analog image frozen after a poll" true (Attack.Fdia.frozen fdia);
-  (match Attack.Fdia.force_open fdia d ~breaker:"SUB-002/B00" with
+  (match Attack.Fdia.force_open d ~breaker:"SUB-002/B00" with
   | Ok () -> ()
   | Error e -> Alcotest.failf "force_open: %s" e);
   Sim.Engine.run ~until:12.0 engine;

@@ -353,8 +353,23 @@ let test_config_sizing () =
   check_int "plant quorum" 4 c6.Prime.Config.quorum;
   let big = Prime.Config.create ~f:2 ~k:2 () in
   check_int "f=2 k=2 n" 11 big.Prime.Config.n;
-  Alcotest.check_raises "f=0 rejected" (Invalid_argument "Config.create: f must be >= 1")
-    (fun () -> ignore (Prime.Config.create ~f:0 ()))
+  (* Every out-of-range input is refused, each with its own message. *)
+  let create = Prime.Config.create in
+  List.iter
+    (fun (msg, make) ->
+      Alcotest.check_raises msg (Invalid_argument ("Config.create: " ^ msg)) (fun () ->
+          ignore (make ())))
+    [
+      ("f must be >= 1", fun () -> create ~f:0 ());
+      ("k must be >= 0", fun () -> create ~k:(-1) ());
+      ("batch_window must be >= 0", fun () -> create ~batch_window:(-0.001) ());
+      ("sig_cache_capacity must be >= 0", fun () -> create ~sig_cache_capacity:(-1) ());
+      ("checkpoint_interval must be >= 1", fun () -> create ~checkpoint_interval:0 ());
+      ("wal_segment_size must be >= 64", fun () -> create ~wal_segment_size:63 ());
+      ("fsync_every must be >= 1", fun () -> create ~fsync_every:0 ());
+      ("log_retention must be >= 1", fun () -> create ~log_retention:0 ());
+      ("tat_allowance must be > 0", fun () -> create ~tat_allowance:0.0 ());
+    ]
 
 (* --- safety property --------------------------------------------------------------- *)
 
