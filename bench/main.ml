@@ -429,15 +429,16 @@ let exp_e7 () =
   let trace = Sim.Trace.create () in
   let config = Prime.Config.red_team () in
   let deployment = Spire.Deployment.create ~engine ~trace ~config mini_scenario in
-  let pcap = Spire.Deployment.external_pcap deployment in
+  let det =
+    Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace
+      ~baseline:(5.0, 125.0)
+      (Spire.Deployment.external_pcap deployment)
+  in
   let driver = Spire.Scenario_driver.create deployment in
   Spire.Scenario_driver.start driver ~period:2.0;
   Sim.Engine.run ~until:125.0 engine;
-  let det =
-    Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace ()
-  in
-  Mana.Detector.train det ~rng:(Sim.Engine.split_rng engine) pcap ~t0:5.0 ~t1:125.0;
-  let (_ : Sim.Engine.timer) = Mana.Detector.start det pcap in
+  Mana.Detector.train det ~rng:(Sim.Engine.split_rng engine);
+  let (_ : Sim.Engine.timer) = Mana.Detector.start det in
   let attacker = Attack.Attacker.create ~engine ~trace in
   let pos =
     Attack.Attacker.attach attacker ~name:"redteam" ~ip:(Netbase.Addr.Ip.v 10 0 2 66)

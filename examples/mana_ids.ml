@@ -18,9 +18,12 @@ let () =
   in
   let config = Prime.Config.red_team () in
   let deployment = Spire.Deployment.create ~engine ~trace ~config scenario in
-  let pcap = Spire.Deployment.external_pcap deployment in
-  let detector = Mana.Detector.create ~window:1.0 ~engine ~trace () in
-  Mana.Detector.alerts detector |> ignore;
+  (* The detector reads the operations switch's mirror port from the
+     start, learning from the traffic of the baseline interval. *)
+  let detector =
+    Mana.Detector.create ~window:1.0 ~engine ~trace ~baseline:(5.0, 60.0)
+      (Spire.Deployment.external_pcap deployment)
+  in
 
   (* Phase 1: baseline traffic collection (the deployment's 12-hour
      capture, compressed to 60 s of the same regular SCADA chatter). *)
@@ -29,13 +32,13 @@ let () =
   Spire.Scenario_driver.start driver ~period:2.0;
   Sim.Engine.run ~until:60.0 engine;
   let rng = Sim.Engine.split_rng engine in
-  Mana.Detector.train detector ~rng pcap ~t0:5.0 ~t1:60.0;
+  Mana.Detector.train detector ~rng;
   Printf.printf "  trained. (windows of 1 s; %d-dimensional feature vectors)\n\n"
     Mana.Features.dimensions;
 
   (* Phase 2: live detection while the red team works. *)
   print_endline "Phase 2: live detection during the red-team attacks...";
-  let (_ : Sim.Engine.timer) = Mana.Detector.start detector pcap in
+  let (_ : Sim.Engine.timer) = Mana.Detector.start detector in
   let attacker = Attack.Attacker.create ~engine ~trace in
   let pos =
     Attack.Attacker.attach attacker ~name:"redteam" ~ip:(Netbase.Addr.Ip.v 10 0 2 66)

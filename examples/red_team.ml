@@ -22,23 +22,23 @@ let () =
   let trace = Sim.Trace.create () in
   let tb = Attack.Testbed.create ~engine ~trace () in
 
-  (* MANA instances: train on the baseline capture of each network before
-     the attacks begin (the setup-week packet capture). *)
-  let commercial_det = Mana.Detector.create ~engine ~trace () in
-  let spire_det = Mana.Detector.create ~engine ~trace () in
+  (* MANA instances: each reads its network's mirror port and trains on
+     the baseline before the attacks begin (the setup-week packet
+     capture). *)
+  let commercial_det =
+    Mana.Detector.create ~engine ~trace ~baseline:(5.0, 30.0)
+      (Spire.Commercial.pcap (Attack.Testbed.commercial tb))
+  in
+  let spire_det =
+    Mana.Detector.create ~engine ~trace ~baseline:(5.0, 30.0)
+      (Spire.Deployment.external_pcap (Attack.Testbed.spire tb))
+  in
   Sim.Engine.run ~until:30.0 engine;
   let rng = Sim.Engine.split_rng engine in
-  Mana.Detector.train commercial_det ~rng (Spire.Commercial.pcap (Attack.Testbed.commercial tb))
-    ~t0:5.0 ~t1:30.0;
-  Mana.Detector.train spire_det ~rng
-    (Spire.Deployment.external_pcap (Attack.Testbed.spire tb))
-    ~t0:5.0 ~t1:30.0;
-  let (_ : Sim.Engine.timer) =
-    Mana.Detector.start commercial_det (Spire.Commercial.pcap (Attack.Testbed.commercial tb))
-  in
-  let (_ : Sim.Engine.timer) =
-    Mana.Detector.start spire_det (Spire.Deployment.external_pcap (Attack.Testbed.spire tb))
-  in
+  Mana.Detector.train commercial_det ~rng;
+  Mana.Detector.train spire_det ~rng;
+  let (_ : Sim.Engine.timer) = Mana.Detector.start commercial_det in
+  let (_ : Sim.Engine.timer) = Mana.Detector.start spire_det in
 
   (* Phase 1: the commercial system. *)
   let commercial_steps = Attack.Campaign.run_commercial tb in

@@ -12,7 +12,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   enterprise_switch : Netbase.Switch.t;
-  enterprise_pcap : Netbase.Pcap.t;
   historian_host : Netbase.Host.t;
   workstation : Netbase.Host.t;
   router : Netbase.Router.t;
@@ -25,9 +24,6 @@ let create ?(config = Prime.Config.red_team ()) ?(scenario = Plc.Power.red_team)
     ?(spire_hardened = true) ~engine ~trace () =
   (* Enterprise network. *)
   let enterprise_switch = Netbase.Switch.create ~engine ~trace "enterprise" in
-  let enterprise_pcap = Netbase.Pcap.create () in
-  Netbase.Switch.add_tap enterprise_switch (fun frame ->
-      Netbase.Pcap.capture enterprise_pcap ~time:(Sim.Engine.now engine) frame);
   let historian_host =
     Netbase.Host.create ~os:Netbase.Host.ubuntu_desktop ~engine ~trace "pi-server"
   in
@@ -82,7 +78,6 @@ let create ?(config = Prime.Config.red_team ()) ?(scenario = Plc.Power.red_team)
     engine;
     trace;
     enterprise_switch;
-    enterprise_pcap;
     historian_host;
     workstation;
     router;

@@ -7,7 +7,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   enterprise_switch : Netbase.Switch.t;
-  enterprise_pcap : Netbase.Pcap.t;
   historian_host : Netbase.Host.t;
   workstation : Netbase.Host.t;
   router : Netbase.Router.t;

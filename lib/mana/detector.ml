@@ -3,7 +3,9 @@
    Operation mirrors the paper's deployments:
    1. a training phase over a baseline capture (24 h at the red-team
       exercise, 12 h at the plant) builds per-feature Gaussian statistics
-      and a k-means model of normal windows;
+      and a k-means model of normal windows. The detector reads the
+      mirror port as a stream: each window is folded into features as
+      its records arrive, and no captured frame is kept;
    2. detection scores each subsequent window by z-score and
       cluster distance, entirely passively;
    3. persistent anomalies raise alerts tagged with the dominant feature,
@@ -31,29 +33,23 @@ type t = {
   window : float;
   threshold : float;
   consecutive_required : int;
+  train_until : float;
   mutable model : model option;
+  (* Feature vectors of the closed training windows, newest first. *)
+  mutable training : float array list;
+  (* The open window is [window_start, window_end), accumulating in
+     [features]. No window is open once the training windows are closed
+     and until detection opens one at [window_start]; meanwhile records
+     wait in [pending], as does a record stamped past the open window. *)
+  mutable window_open : bool;
+  mutable window_start : float;
+  mutable window_end : float;
+  pending : Netbase.Pcap.record Queue.t;
   mutable alerts : alert list;
   mutable consecutive : int;
   mutable windows_scored : int;
-  mutable last_window_end : float;
   counters : Sim.Stats.Counter.t;
 }
-
-let create ?(window = 1.0) ?(threshold = 6.0) ?(consecutive_required = 2) ~engine ~trace () =
-  {
-    engine;
-    trace;
-    features = Features.create ();
-    window;
-    threshold;
-    consecutive_required;
-    model = None;
-    alerts = [];
-    consecutive = 0;
-    windows_scored = 0;
-    last_window_end = 0.0;
-    counters = Sim.Stats.Counter.create ();
-  }
 
 let alerts t = List.rev t.alerts
 
@@ -61,19 +57,81 @@ let windows_scored t = t.windows_scored
 
 let is_trained t = t.model <> None
 
-(* Slice a capture into fixed windows and extract features from each. *)
-let windows_of_capture t pcap ~t0 ~t1 =
-  let rec slice start acc =
-    if start >= t1 then List.rev acc
-    else
-      let records = Netbase.Pcap.window pcap ~t0:start ~t1:(start +. t.window) in
-      slice (start +. t.window) (Features.extract t.features records :: acc)
-  in
-  slice t0 []
+(* Route a record to the open window, or hold it for a later one. A record
+   stamped before the open window has no window left to join. *)
+let file t (r : Netbase.Pcap.record) =
+  if r.time >= t.window_end then Queue.push r t.pending
+  else if r.time >= t.window_start then Features.add t.features r
 
-let train t ~rng pcap ~t0 ~t1 =
-  (* Learning mode: flows seen here become the known-baseline set. *)
-  let vectors = windows_of_capture t pcap ~t0 ~t1 in
+let open_window t start =
+  t.window_start <- start;
+  t.window_end <- start +. t.window;
+  t.window_open <- true;
+  for _ = 1 to Queue.length t.pending do
+    file t (Queue.pop t.pending)
+  done
+
+(* Training windows start at t0 and follow one another while they start
+   before t1. *)
+let close_training_window t =
+  t.training <- Features.close t.features :: t.training;
+  let next = t.window_end in
+  if next >= t.train_until then t.window_open <- false
+  else begin
+    t.window_start <- next;
+    t.window_end <- next +. t.window
+  end
+
+(* The mirror-port reader. Time-ordered records close the training
+   windows they pass, empty ones included; flows are learned only from
+   records stamped before t1. *)
+let observe t (r : Netbase.Pcap.record) =
+  if t.model = None && t.window_open then begin
+    if r.time >= t.train_until then
+      while t.window_open do
+        close_training_window t
+      done
+    else
+      while r.time >= t.window_end do
+        close_training_window t
+      done
+  end;
+  if t.window_open then file t r else Queue.push r t.pending
+
+let create ?(window = 1.0) ?(threshold = 6.0) ?(consecutive_required = 2) ~engine ~trace
+    ~baseline:(t0, t1) pcap =
+  let t =
+    {
+      engine;
+      trace;
+      features = Features.create ();
+      window;
+      threshold;
+      consecutive_required;
+      train_until = t1;
+      model = None;
+      training = [];
+      window_open = t0 < t1;
+      window_start = t0;
+      window_end = t0 +. window;
+      pending = Queue.create ();
+      alerts = [];
+      consecutive = 0;
+      windows_scored = 0;
+      counters = Sim.Stats.Counter.create ();
+    }
+  in
+  Netbase.Pcap.subscribe pcap (observe t);
+  t
+
+let train t ~rng =
+  (* Learning mode: flows seen in the training windows became the
+     known-baseline set. *)
+  while t.window_open do
+    close_training_window t
+  done;
+  let vectors = List.rev t.training in
+  t.training <- [];
   if vectors = [] then invalid_arg "Detector.train: empty baseline capture";
   Features.freeze t.features;
   let dim = Features.dimensions in
@@ -104,7 +162,7 @@ let train t ~rng pcap ~t0 ~t1 =
     Float.max 0.5 (total /. n)
   in
   t.model <- Some { means; stds; clusters; baseline_distance };
-  t.last_window_end <- t1;
+  t.window_start <- t.train_until;
   Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"mana"
     "trained on %d windows (%d baseline flows)" (List.length vectors)
     (Features.known_flow_count t.features)
@@ -150,16 +208,15 @@ let score_window model v =
   let score = Float.max max_z cluster_distance in
   (score, Features.feature_names.(!dominant))
 
-(* Score the next capture window; raises alerts on persistent anomalies. *)
-let evaluate t pcap =
+(* Close the open detection window and score it; raises alerts on
+   persistent anomalies. *)
+let evaluate t =
   match t.model with
   | None -> invalid_arg "Detector.evaluate: not trained"
   | Some model ->
-      let t0 = t.last_window_end in
-      let t1 = t0 +. t.window in
-      t.last_window_end <- t1;
-      let records = Netbase.Pcap.window pcap ~t0 ~t1 in
-      let v = Features.extract t.features records in
+      if not t.window_open then open_window t t.window_start;
+      let v = Features.close t.features in
+      open_window t t.window_end;
       let score, dominant = score_window model v in
       t.windows_scored <- t.windows_scored + 1;
       Sim.Stats.Counter.incr t.counters "windows";
@@ -179,10 +236,13 @@ let evaluate t pcap =
       end
       else t.consecutive <- 0
 
-(* Run detection continuously against a live capture. *)
-let start t pcap =
-  t.last_window_end <- Sim.Engine.now t.engine;
-  Sim.Engine.every t.engine ~period:t.window (fun () -> evaluate t pcap)
+(* Run detection continuously: windows start now, and one closes per
+   period. *)
+let start t =
+  if t.model = None then invalid_arg "Detector.start: not trained";
+  if t.window_open then invalid_arg "Detector.start: already detecting";
+  open_window t (Sim.Engine.now t.engine);
+  Sim.Engine.every t.engine ~period:t.window (fun () -> evaluate t)
 
 let alert_categories t =
   List.sort_uniq String.compare (List.map (fun a -> a.category) (alerts t))

@@ -2,11 +2,11 @@
 
    MANA receives passive packet capture and must work without protocol
    knowledge or plaintext (Section III-C): everything here derives from
-   frame metadata only. A capture window is condensed into a fixed
-   feature vector describing volume, flow structure, ARP behaviour and
-   scan-like fan-out — the signals that distinguish the red team's
-   attacks from baseline SCADA traffic, which is famously regular
-   ("short constant system updates"). *)
+   frame metadata only. The records of one capture window are folded,
+   one at a time, into a fixed feature vector describing volume, flow
+   structure, ARP behaviour and scan-like fan-out — the signals that
+   distinguish the red team's attacks from baseline SCADA traffic, which
+   is famously regular ("short constant system updates"). *)
 
 type flow_key = {
   fk_src : Netbase.Addr.Ip.t;
@@ -41,9 +41,31 @@ type t = {
      flows afterwards is a strong anomaly signal in operational networks. *)
   known_flows : (flow_key, unit) Hashtbl.t;
   mutable learning : bool;
+  (* The open window: packet and byte totals accumulate in [v] in
+     capture order; the rest of the vector is filled in by [close]. *)
+  mutable v : float array;
+  flows : (flow_key, int) Hashtbl.t;
+  fanout : (Netbase.Addr.Ip.t, (Netbase.Addr.Ip.t * int, unit) Hashtbl.t) Hashtbl.t;
+  mutable arp_requests : int;
+  mutable arp_replies : int;
+  mutable pending_requests : int;
+  mutable unsolicited : int;
+  mutable new_flows : int;
 }
 
-let create () = { known_flows = Hashtbl.create 256; learning = true }
+let create () =
+  {
+    known_flows = Hashtbl.create 256;
+    learning = true;
+    v = Array.make dimensions 0.0;
+    flows = Hashtbl.create 64;
+    fanout = Hashtbl.create 16;
+    arp_requests = 0;
+    arp_replies = 0;
+    pending_requests = 0;
+    unsolicited = 0;
+    new_flows = 0;
+  }
 
 let freeze t = t.learning <- false
 
@@ -55,56 +77,62 @@ let flow_of_record (r : Netbase.Pcap.record) =
       Some { fk_src = src; fk_dst = dst; fk_dst_port = dst_port }
   | Netbase.Pcap.Arp _ -> None
 
-(* Condense one capture window into a feature vector. *)
-let extract t (records : Netbase.Pcap.record list) =
-  let v = Array.make dimensions 0.0 in
-  let flows : (flow_key, int) Hashtbl.t = Hashtbl.create 64 in
-  let fanout : (Netbase.Addr.Ip.t, (Netbase.Addr.Ip.t * int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let arp_requests = ref 0 and arp_replies = ref 0 and pending_requests = ref 0 in
-  let unsolicited = ref 0 in
-  let new_flows = ref 0 in
-  List.iter
-    (fun r ->
-      v.(0) <- v.(0) +. 1.0;
-      v.(1) <- v.(1) +. float_of_int r.Netbase.Pcap.size;
-      (match flow_of_record r with
-      | Some key ->
-          let count = 1 + Option.value ~default:0 (Hashtbl.find_opt flows key) in
-          Hashtbl.replace flows key count;
-          if not (Hashtbl.mem t.known_flows key) then begin
-            if t.learning then Hashtbl.replace t.known_flows key ()
-            else if count = 1 then incr new_flows
-          end;
-          let touched =
-            match Hashtbl.find_opt fanout key.fk_src with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = Hashtbl.create 16 in
-                Hashtbl.replace fanout key.fk_src tbl;
-                tbl
-          in
-          Hashtbl.replace touched (key.fk_dst, key.fk_dst_port) ()
-      | None -> ());
-      match r.Netbase.Pcap.info with
-      | Netbase.Pcap.Arp { is_reply = false; _ } ->
-          incr arp_requests;
-          incr pending_requests
-      | Netbase.Pcap.Arp { is_reply = true; _ } ->
-          incr arp_replies;
-          if !pending_requests > 0 then decr pending_requests else incr unsolicited
-      | Netbase.Pcap.Udp _ -> ())
-    records;
+let add t (r : Netbase.Pcap.record) =
+  let v = t.v in
+  v.(0) <- v.(0) +. 1.0;
+  v.(1) <- v.(1) +. float_of_int r.Netbase.Pcap.size;
+  (match flow_of_record r with
+  | Some key ->
+      let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.flows key) in
+      Hashtbl.replace t.flows key count;
+      if not (Hashtbl.mem t.known_flows key) then begin
+        if t.learning then Hashtbl.replace t.known_flows key ()
+        else if count = 1 then t.new_flows <- t.new_flows + 1
+      end;
+      let touched =
+        match Hashtbl.find_opt t.fanout key.fk_src with
+        | Some tbl -> tbl
+        | None ->
+            let tbl = Hashtbl.create 16 in
+            Hashtbl.replace t.fanout key.fk_src tbl;
+            tbl
+      in
+      Hashtbl.replace touched (key.fk_dst, key.fk_dst_port) ()
+  | None -> ());
+  match r.Netbase.Pcap.info with
+  | Netbase.Pcap.Arp { is_reply = false; _ } ->
+      t.arp_requests <- t.arp_requests + 1;
+      t.pending_requests <- t.pending_requests + 1
+  | Netbase.Pcap.Arp { is_reply = true; _ } ->
+      t.arp_replies <- t.arp_replies + 1;
+      if t.pending_requests > 0 then t.pending_requests <- t.pending_requests - 1
+      else t.unsolicited <- t.unsolicited + 1
+  | Netbase.Pcap.Udp _ -> ()
+
+let close t =
+  let v = t.v in
   if v.(0) > 0.0 then v.(2) <- v.(1) /. v.(0);
-  v.(3) <- float_of_int (Hashtbl.length flows);
-  v.(4) <- float_of_int !new_flows;
-  v.(5) <- float_of_int !arp_requests;
-  v.(6) <- float_of_int !arp_replies;
+  v.(3) <- float_of_int (Hashtbl.length t.flows);
+  v.(4) <- float_of_int t.new_flows;
+  v.(5) <- float_of_int t.arp_requests;
+  v.(6) <- float_of_int t.arp_replies;
   v.(7) <-
-    (if !arp_replies > 0 then float_of_int !unsolicited /. float_of_int !arp_replies else 0.0);
+    (if t.arp_replies > 0 then float_of_int t.unsolicited /. float_of_int t.arp_replies
+     else 0.0);
   v.(8) <-
     float_of_int
-      (Hashtbl.fold (fun _ touched acc -> max acc (Hashtbl.length touched)) fanout 0);
-  v.(9) <- float_of_int (Hashtbl.fold (fun _ c acc -> max acc c) flows 0);
+      (Hashtbl.fold (fun _ touched acc -> max acc (Hashtbl.length touched)) t.fanout 0);
+  v.(9) <- float_of_int (Hashtbl.fold (fun _ c acc -> max acc c) t.flows 0);
+  t.v <- Array.make dimensions 0.0;
+  Hashtbl.reset t.flows;
+  Hashtbl.reset t.fanout;
+  t.arp_requests <- 0;
+  t.arp_replies <- 0;
+  t.pending_requests <- 0;
+  t.unsolicited <- 0;
+  t.new_flows <- 0;
   v
+
+let extract t records =
+  List.iter (add t) records;
+  close t

@@ -1,9 +1,12 @@
 (** Flow-feature extraction from passive packet capture (metadata only —
     the paper's requirement for IDS in operational SCADA networks). *)
 
+(** The known-flow set plus a per-window accumulator: records are
+    [add]ed as they are captured and [close] turns the window into a
+    feature vector. *)
 type t
 
-(** Feature vector component names, aligned with {!extract}'s output. *)
+(** Feature vector component names, aligned with {!close}'s output. *)
 val feature_names : string array
 
 val dimensions : int
@@ -20,6 +23,13 @@ val freeze : t -> unit
 
 val known_flow_count : t -> int
 
-(** Condense one capture window into a feature vector. While learning,
-    flows seen are added to the known-baseline set. *)
+(** Fold one record into the open window. While learning, its flow is
+    added to the known-baseline set. *)
+val add : t -> Netbase.Pcap.record -> unit
+
+(** The open window's feature vector; the accumulator starts the next
+    window empty. *)
+val close : t -> float array
+
+(** [add] each record, then [close]. *)
 val extract : t -> Netbase.Pcap.record list -> float array

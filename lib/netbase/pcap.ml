@@ -1,7 +1,7 @@
 (* Passive packet capture.
 
    MANA receives an out-of-band copy of network traffic (the paper's SPAN
-   port); a capture is a chronological record of frame metadata. Payloads
+   port); a capture streams frame metadata to its readers. Payloads
    are not inspected — mirroring the paper's observation that proprietary
    or encrypted protocols defeat deep inspection, so the IDS must work
    from flow statistics alone. *)
@@ -18,9 +18,14 @@ and info =
   | Arp of { sender_ip : Addr.Ip.t; target_ip : Addr.Ip.t; is_reply : bool }
   | Udp of { src : Addr.Ip.t; dst : Addr.Ip.t; src_port : int; dst_port : int }
 
-type t = { mutable records : record list; mutable count : int }
+(* A capture keeps no frames: it counts them, and builds a record only
+   for the readers subscribed to it, which see each record once, in
+   capture order. *)
+type t = { mutable count : int; mutable readers : (record -> unit) list }
 
-let create () = { records = []; count = 0 }
+let create () = { count = 0; readers = [] }
+
+let subscribe t reader = t.readers <- t.readers @ [ reader ]
 
 let of_frame ~time (frame : Packet.frame) =
   let info =
@@ -33,17 +38,11 @@ let of_frame ~time (frame : Packet.frame) =
   { time; size = Packet.frame_size frame; src_mac = frame.src_mac; dst_mac = frame.dst_mac; info }
 
 let capture t ~time frame =
-  t.records <- of_frame ~time frame :: t.records;
-  t.count <- t.count + 1
-
-let records t = List.rev t.records
+  t.count <- t.count + 1;
+  match t.readers with
+  | [] -> ()
+  | readers ->
+      let r = of_frame ~time frame in
+      List.iter (fun reader -> reader r) readers
 
 let length t = t.count
-
-(* Records within [t0, t1), chronological. *)
-let window t ~t0 ~t1 =
-  List.filter (fun r -> r.time >= t0 && r.time < t1) (records t)
-
-let clear t =
-  t.records <- [];
-  t.count <- 0

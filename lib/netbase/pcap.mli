@@ -1,5 +1,5 @@
 (** Passive packet capture: frame metadata only (no payload inspection),
-    as delivered to MANA via a mirror port. *)
+    streamed to MANA as from a mirror port. *)
 
 type record = {
   time : float;
@@ -13,6 +13,8 @@ and info =
   | Arp of { sender_ip : Addr.Ip.t; target_ip : Addr.Ip.t; is_reply : bool }
   | Udp of { src : Addr.Ip.t; dst : Addr.Ip.t; src_port : int; dst_port : int }
 
+(** A frame counter plus the readers it streams records to. No frame is
+    kept. *)
 type t
 
 val create : unit -> t
@@ -20,15 +22,12 @@ val create : unit -> t
 (** Convert a frame to a capture record. *)
 val of_frame : time:float -> Packet.frame -> record
 
-(** Append a frame to the capture. *)
+(** Hand every later captured frame's record to the reader, in capture
+    order, after the readers subscribed before it. *)
+val subscribe : t -> (record -> unit) -> unit
+
+(** Count a frame, and stream its record to the subscribed readers. *)
 val capture : t -> time:float -> Packet.frame -> unit
 
-(** All records, chronological. *)
-val records : t -> record list
-
+(** Frames captured so far. *)
 val length : t -> int
-
-(** Records with [t0 <= time < t1], chronological. *)
-val window : t -> t0:float -> t1:float -> record list
-
-val clear : t -> unit

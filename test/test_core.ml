@@ -381,6 +381,23 @@ let test_full_red_team_scenario_boots () =
   check "remote substation breaker opened" false
     (Plc.Breaker.is_closed (main_breaker d "DIST-03/B1"))
 
+(* --- bounded capture ----------------------------------------------------------- *)
+
+let test_mirror_capture_keeps_no_frames () =
+  (* With no detector subscribed, the mirror-port captures only count
+     frames: their reachable heap is the same after 10 s and 20 s of
+     operation, while the frame counts keep growing. *)
+  let engine, d = make_spire () in
+  let pcaps = [ Spire.Deployment.external_pcap d; Spire.Deployment.internal_pcap d ] in
+  let words () = Obj.reachable_words (Obj.repr (Spire.Deployment.external_pcap d)) in
+  run engine ~until:10.0;
+  let words_10 = words () and frames_10 = List.map Netbase.Pcap.length pcaps in
+  run engine ~until:20.0;
+  check_int "external capture reachable words flat" words_10 (words ());
+  List.iter2
+    (fun pcap before -> check "frames still counted" true (before > 0 && Netbase.Pcap.length pcap > before))
+    pcaps frames_10
+
 (* --- telemetry passivity -------------------------------------------------------- *)
 
 (* One E4-style plant run: the Section V flip probe on B57. Returns, per
@@ -434,6 +451,7 @@ let test_registry_passive_on_deployment () =
 
 let suite =
   [
+    ("mirror capture keeps no frames", `Quick, test_mirror_capture_keeps_no_frames);
     ("status propagates to hmi", `Quick, test_status_propagates_to_hmi);
     ("command actuates breaker", `Quick, test_command_actuates_breaker);
     ("single master cannot actuate", `Quick, test_single_master_cannot_actuate);

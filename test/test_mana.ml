@@ -116,9 +116,12 @@ let make_trained_detector () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let pcap = Netbase.Pcap.create () in
+  let det =
+    Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace
+      ~baseline:(0.0, 30.0) pcap
+  in
   fill_baseline pcap ~windows:30;
-  let det = Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace () in
-  Mana.Detector.train det ~rng:(Sim.Rng.create 17L) pcap ~t0:0.0 ~t1:30.0;
+  Mana.Detector.train det ~rng:(Sim.Rng.create 17L);
   (engine, det, pcap)
 
 let test_detector_quiet_on_baseline () =
@@ -136,7 +139,7 @@ let test_detector_quiet_on_baseline () =
              ~dst_ip:(ip 10 0 0 3) ~src_port:5001 ~dst_port:5500 ~size:120
              (Netbase.Packet.Raw "update")))
       (List.init 10 (fun i -> i));
-    Mana.Detector.evaluate det pcap
+    Mana.Detector.evaluate det
   done;
   check_int "no false alerts" 0 (List.length (Mana.Detector.alerts det));
   check_int "twenty windows scored" 20 (Mana.Detector.windows_scored det)
@@ -156,7 +159,7 @@ let test_detector_flags_port_scan () =
            ~dst_ip:(ip 10 0 0 (1 + (i mod 5))) ~src_port:40001 ~dst_port:(1000 + i) ~size:40
            Netbase.Packet.Scan_probe)
     done;
-    Mana.Detector.evaluate det pcap
+    Mana.Detector.evaluate det
   done;
   check "alerted" true (List.length (Mana.Detector.alerts det) > 0);
   check "categorised as scan/probe or new flows" true
@@ -172,7 +175,7 @@ let test_detector_flags_flood () =
            ~dst_ip:(ip 10 0 0 2) ~src_port:44444 ~dst_port:8120 ~size:1400
            (Netbase.Packet.Raw "flood"))
     done;
-    Mana.Detector.evaluate det pcap
+    Mana.Detector.evaluate det
   done;
   check "alerted" true (List.length (Mana.Detector.alerts det) > 0)
 
@@ -193,7 +196,7 @@ let test_detector_flags_arp_poisoning () =
                 target_mac = mac_a };
         }
     done;
-    Mana.Detector.evaluate det pcap
+    Mana.Detector.evaluate det
   done;
   check "alerted" true (List.length (Mana.Detector.alerts det) > 0);
   check "categorised as arp anomaly" true
@@ -202,12 +205,147 @@ let test_detector_flags_arp_poisoning () =
 let test_detector_requires_training () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
-  let det = Mana.Detector.create ~engine ~trace () in
   let pcap = Netbase.Pcap.create () in
+  let det = Mana.Detector.create ~engine ~trace ~baseline:(0.0, 30.0) pcap in
   check "untrained" false (Mana.Detector.is_trained det);
   Alcotest.check_raises "evaluate before train"
-    (Invalid_argument "Detector.evaluate: not trained") (fun () ->
-      Mana.Detector.evaluate det pcap)
+    (Invalid_argument "Detector.evaluate: not trained") (fun () -> Mana.Detector.evaluate det)
+
+let test_detector_trains_on_baseline_interval () =
+  (* Silent windows inside the baseline still count as training windows,
+     and a frame stamped at the interval's end is not learned. *)
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let pcap = Netbase.Pcap.create () in
+  let det = Mana.Detector.create ~window:1.0 ~engine ~trace ~baseline:(0.0, 30.0) pcap in
+  fill_baseline pcap ~windows:10;
+  Netbase.Pcap.capture pcap ~time:30.0
+    (Netbase.Packet.udp_frame ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:(ip 10 0 0 7)
+       ~dst_ip:(ip 10 0 0 8) ~src_port:5000 ~dst_port:502 ~size:80 (Netbase.Packet.Raw "late"));
+  Mana.Detector.train det ~rng:(Sim.Rng.create 17L);
+  Alcotest.(check (list string))
+    "thirty windows, two flows"
+    [ "trained on 30 windows (2 baseline flows)" ]
+    (List.map (fun e -> e.Sim.Trace.message) (Sim.Trace.by_category trace "mana"))
+
+let test_detector_memory_flat () =
+  (* Memory depends on the window length, not on the run length: a
+     trained detector streaming steady chatter reaches the same number of
+     heap words after a 30 s detection run and after one twice as long. *)
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let pcap = Netbase.Pcap.create () in
+  let det = Mana.Detector.create ~window:1.0 ~engine ~trace ~baseline:(0.0, 30.0) pcap in
+  let poll =
+    Netbase.Packet.udp_frame ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:(ip 10 0 0 1)
+      ~dst_ip:(ip 10 0 0 2) ~src_port:5000 ~dst_port:502 ~size:80 (Netbase.Packet.Raw "poll")
+  and update =
+    Netbase.Packet.udp_frame ~src_mac:mac_b ~dst_mac:mac_a ~src_ip:(ip 10 0 0 2)
+      ~dst_ip:(ip 10 0 0 3) ~src_port:5001 ~dst_port:5500 ~size:120
+      (Netbase.Packet.Raw "update")
+  in
+  let (_ : Sim.Engine.timer) =
+    Sim.Engine.every engine ~period:0.1 (fun () ->
+        let time = Sim.Engine.now engine in
+        Netbase.Pcap.capture pcap ~time poll;
+        Netbase.Pcap.capture pcap ~time update)
+  in
+  Sim.Engine.run ~until:30.0 engine;
+  Mana.Detector.train det ~rng:(Sim.Rng.create 17L);
+  let (_ : Sim.Engine.timer) = Mana.Detector.start det in
+  Sim.Engine.run ~until:60.0 engine;
+  let words () = Obj.reachable_words (Obj.repr (pcap, det)) in
+  let words_1x = words () in
+  Sim.Engine.run ~until:90.0 engine;
+  check_int "sixty windows scored" 60 (Mana.Detector.windows_scored det);
+  check_int "no false alerts" 0 (List.length (Mana.Detector.alerts det));
+  check_int "reachable words flat" words_1x (words ())
+
+(* --- E7 replay ---------------------------------------------------------------- *)
+
+let e7_scenario =
+  {
+    Plc.Power.scenario_name = "bench-mini";
+    plcs =
+      [ { Plc.Power.plc_name = "MAIN"; breaker_names = [ "B10-1"; "B57"; "B56" ]; physical = true } ];
+    feeds = [ { Plc.Power.load_name = "Building-A"; path = [ "B10-1"; "B57" ] } ];
+  }
+
+(* E7's schedule on the red-team deployment's mirror port: 120 s of
+   baseline, then a port scan, ARP poisoning and a flood, each followed by
+   10 s of quiet. The digest covers every alert's time and score (exact,
+   in %h), dominant feature and category, plus the number of windows
+   scored. It was captured while MANA still sliced a stored capture into
+   windows; the streamed detector must reproduce it byte for byte. *)
+let e7_alert_digest () =
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let config = Prime.Config.red_team () in
+  let deployment = Spire.Deployment.create ~engine ~trace ~config e7_scenario in
+  let det =
+    Mana.Detector.create ~window:1.0 ~threshold:6.0 ~consecutive_required:2 ~engine ~trace
+      ~baseline:(5.0, 125.0)
+      (Spire.Deployment.external_pcap deployment)
+  in
+  let driver = Spire.Scenario_driver.create deployment in
+  Spire.Scenario_driver.start driver ~period:2.0;
+  Sim.Engine.run ~until:125.0 engine;
+  Mana.Detector.train det ~rng:(Sim.Engine.split_rng engine);
+  let (_ : Sim.Engine.timer) = Mana.Detector.start det in
+  let attacker = Attack.Attacker.create ~engine ~trace in
+  let pos =
+    Attack.Attacker.attach attacker ~name:"redteam" ~ip:(ip 10 0 2 66)
+      (Spire.Deployment.external_switch deployment)
+  in
+  let condition ~duration launch =
+    launch ();
+    Sim.Engine.run ~until:(Sim.Engine.now engine +. duration) engine;
+    Sim.Engine.run ~until:(Sim.Engine.now engine +. 10.0) engine
+  in
+  condition ~duration:60.0 (fun () -> ());
+  condition ~duration:15.0 (fun () ->
+      let (_ : Netbase.Addr.Ip.t -> int -> string) =
+        Attack.Actions.port_scan attacker pos
+          ~targets:
+            (List.init config.Prime.Config.n (fun i -> Spire.Addressing.replica_external i))
+          ~ports:(List.init 40 (fun i -> 8000 + i))
+      in
+      ());
+  condition ~duration:15.0 (fun () ->
+      let r0 = (Spire.Deployment.replicas deployment).(0) in
+      let timer =
+        Attack.Actions.arp_poison attacker pos
+          ~victim_ip:(Spire.Addressing.replica_external 0)
+          ~victim_mac:(Netbase.Host.nic_mac r0.Spire.Deployment.r_external_nic)
+          ~impersonate:(Spire.Addressing.proxy_external 0)
+      in
+      ignore
+        (Sim.Engine.schedule engine ~delay:15.0 (fun () -> Sim.Engine.cancel_timer engine timer)));
+  condition ~duration:15.0 (fun () ->
+      let (_ : int ref) =
+        Attack.Actions.dos_flood attacker pos
+          ~target_ip:(Spire.Addressing.replica_external 0)
+          ~target_port:Spire.Addressing.spines_external_port ~rate:10_000.0 ~duration:10.0
+      in
+      ());
+  Spire.Scenario_driver.stop driver;
+  let lines =
+    List.map
+      (fun a ->
+        Printf.sprintf "%h %h %s %s\n" a.Mana.Detector.alert_time a.Mana.Detector.score
+          a.Mana.Detector.dominant_feature a.Mana.Detector.category)
+      (Mana.Detector.alerts det)
+  in
+  ( List.length (Mana.Detector.alerts det),
+    Crypto.Sha256.hex_of_string
+      (String.concat "" lines ^ Printf.sprintf "windows %d\n" (Mana.Detector.windows_scored det))
+  )
+
+let test_e7_alerts_golden () =
+  let n_alerts, digest = e7_alert_digest () in
+  check_int "E7 alert count" 26 n_alerts;
+  Alcotest.(check string) "E7 alert digest"
+    "cbb45d5849e03e32c359cb1041bfdd92bf7bf1c19299e7308b031544fa50fcb7" digest
 
 (* --- board -------------------------------------------------------------------- *)
 
@@ -225,7 +363,7 @@ let test_board_conditions () =
            ~dst_ip:(ip 10 0 0 2) ~src_port:44444 ~dst_port:8120 ~size:1400
            (Netbase.Packet.Raw "flood"))
     done;
-    Mana.Detector.evaluate det pcap
+    Mana.Detector.evaluate det
   done;
   check "critical under sustained attack" true (Mana.Board.overall board = Mana.Board.Critical);
   let rendering = Mana.Board.render board in
@@ -263,6 +401,9 @@ let suite =
     ("detector flags flood", `Quick, test_detector_flags_flood);
     ("detector flags arp poisoning", `Quick, test_detector_flags_arp_poisoning);
     ("detector requires training", `Quick, test_detector_requires_training);
+    ("detector trains on baseline interval", `Quick, test_detector_trains_on_baseline_interval);
+    ("detector memory flat", `Quick, test_detector_memory_flat);
+    ("e7 alerts match golden digest", `Slow, test_e7_alerts_golden);
   ]
 
 let () = Alcotest.run "mana" [ ("mana", suite) ]
