@@ -43,14 +43,6 @@ let known_mac t ip = Hashtbl.find_opt t.learned_macs ip
 
 let counters t = t.counters
 
-let record t ~action outcome =
-  let ok, detail = match outcome with Succeeded d -> (true, d) | Failed d -> (false, d) in
-  Sim.Stats.Counter.incr t.counters (if ok then "action.succeeded" else "action.failed");
-  Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"attack" "%s: %s — %s"
-    action
-    (if ok then "SUCCESS" else "failed")
-    detail
-
 (* Attach an attacker machine to a switch, registering its MAC in the
    switch's static table (models being handed a provisioned port, as in
    the red-team rules of engagement). *)

@@ -24,8 +24,6 @@ val known_mac : t -> Netbase.Addr.Ip.t -> Netbase.Addr.Mac.t option
 
 val counters : t -> Sim.Stats.Counter.t
 
-val record : t -> action:string -> outcome -> unit
-
 (** Attach an attacker machine to a switch, registering its MAC in the
     switch's static table — being handed a provisioned port, per the
     rules of engagement. *)

@@ -37,9 +37,9 @@ let launch deployment ~site =
       match bundle.Spire.Deployment.p_frontend with
       | Spire.Deployment.Modbus_plc _ ->
           Error (Printf.sprintf "site %s is Modbus: no analog image to rewrite" site)
-      | Spire.Deployment.Dnp3_rtu { fe_proxy; _ } ->
+      | Spire.Deployment.Dnp3_rtu _ ->
           let t = { fdia_frozen = None } in
-          Scada.Rtu_proxy.set_analog_rewrite fe_proxy
+          Scada.Proxy.set_analog_rewrite bundle.Spire.Deployment.p_proxy
             (Some
                (fun readings ->
                  match t.fdia_frozen with

@@ -39,7 +39,6 @@ type t = {
   plc_hosts : Netbase.Host.t array;
   devices : Plc.Device.t array;
   breakers : Plc.Breaker.t array array;
-  scenario : Plc.Power.scenario;
   master_view : (string, bool) Hashtbl.t; (* primary's process image *)
   hmi_display : (string, bool) Hashtbl.t;
   mutable on_display_change : (breaker:string -> closed:bool -> unit) list;
@@ -59,8 +58,6 @@ let pcap t = t.pcap
 let plc_hosts t = t.plc_hosts
 
 let devices t = t.devices
-
-let scenario t = t.scenario
 
 let find_breaker t name =
   let all = Array.concat (Array.to_list t.breakers) in
@@ -284,7 +281,6 @@ let create ~engine ~trace scenario =
       plc_hosts;
       devices;
       breakers;
-      scenario;
       master_view = Hashtbl.create 64;
       hmi_display = Hashtbl.create 64;
       on_display_change = [];

@@ -25,8 +25,6 @@ val plc_hosts : t -> Netbase.Host.t array
 
 val devices : t -> Plc.Device.t array
 
-val scenario : t -> Plc.Power.scenario
-
 val find_breaker : t -> string -> Plc.Breaker.t option
 
 val on_display_change : t -> (breaker:string -> closed:bool -> unit) -> unit

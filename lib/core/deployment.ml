@@ -36,11 +36,9 @@ type replica_bundle = {
   r_durable : Scada.Durable.t option;
 }
 
-(* A field site speaks either Modbus (PLC) or DNP3 (RTU); the proxy
-   facing it differs accordingly. *)
-type field_frontend =
-  | Modbus_plc of { fe_device : Plc.Device.t; fe_proxy : Scada.Proxy.t }
-  | Dnp3_rtu of { fe_rtu : Plc.Rtu.t; fe_proxy : Scada.Rtu_proxy.t }
+(* A field site speaks either Modbus (PLC) or DNP3 (RTU); one proxy
+   type faces both. *)
+type field_frontend = Modbus_plc of Plc.Device.t | Dnp3_rtu of Plc.Rtu.t
 
 type proxy_bundle = {
   p_index : int;
@@ -48,20 +46,11 @@ type proxy_bundle = {
   p_host : Netbase.Host.t;
   p_session : Spines.Node.Session.session;
   p_frontend : field_frontend;
+  p_proxy : Scada.Proxy.t;
   p_client : Prime.Client.t;
   p_plc_host : Netbase.Host.t;
   p_breakers : Plc.Breaker.t array;
 }
-
-let proxy_handle_payload bundle payload =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_proxy; _ } -> Scada.Proxy.handle_payload fe_proxy payload
-  | Dnp3_rtu { fe_proxy; _ } -> Scada.Rtu_proxy.handle_payload fe_proxy payload
-
-let proxy_reset_reporting bundle =
-  match bundle.p_frontend with
-  | Modbus_plc { fe_proxy; _ } -> Scada.Proxy.reset_reporting fe_proxy
-  | Dnp3_rtu { fe_proxy; _ } -> Scada.Rtu_proxy.reset_reporting fe_proxy
 
 type hmi_bundle = {
   h_index : int;
@@ -73,8 +62,6 @@ type hmi_bundle = {
 
 type t = {
   engine : Sim.Engine.t;
-  trace : Sim.Trace.t;
-  keystore : Crypto.Signature.keystore;
   config : Prime.Config.t;
   scenario : Plc.Power.scenario;
   power_net : Power.Net.t;
@@ -88,10 +75,6 @@ type t = {
 }
 
 let engine t = t.engine
-
-let trace t = t.trace
-
-let keystore t = t.keystore
 
 let config t = t.config
 
@@ -333,7 +316,7 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
              ~description:"dnp3 to rtu" Netbase.Firewall.Egress);
         Netbase.Firewall.add fw
           (Netbase.Firewall.rule ~remote_ip:(Addressing.cable_plc k)
-             ~local_port:Scada.Rtu_proxy.dnp3_local_port ~description:"dnp3 replies"
+             ~local_port:Scada.Proxy.dnp3_local_port ~description:"dnp3 replies"
              Netbase.Firewall.Ingress);
         (* The PLC itself only ever talks to its proxy. *)
         let plc_fw = Netbase.Host.firewall plc_host in
@@ -483,62 +466,47 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
         in
         let client = Prime.Client.create ~engine ~keystore ~keypair ~send_to_replica config in
         Prime.Client.enable_retransmit client ~period:2.0;
-        let frontend, breakers =
-          if use_dnp3 then begin
-            let rtu =
-              Plc.Rtu.create ~engine ~trace ~name:spec.Plc.Power.plc_name
-                ~n_points:(List.length spec.Plc.Power.breaker_names) ()
-            in
-            let breakers =
-              Array.of_list
-                (List.mapi
-                   (fun index breaker_name ->
-                     let b = Plc.Breaker.create ~engine breaker_name in
-                     Plc.Rtu.wire_breaker rtu ~index b;
-                     Power.Net.bind_breaker power_net b;
-                     b)
-                   spec.Plc.Power.breaker_names)
-            in
-            (* The RTU's analog image samples the site's measurement
-               points (line flows, injections, frequency) from the
-               electrical overlay at poll time. *)
-            let analog_names = Power.Net.analog_names_for power_net ~plc:spec.Plc.Power.plc_name in
-            Plc.Rtu.set_analog_source rtu (fun () ->
-                List.map snd (Power.Net.analogs_for power_net ~plc:spec.Plc.Power.plc_name));
-            Plc.Rtu.serve_on rtu plc_host;
-            let proxy =
-              Scada.Rtu_proxy.create ~analog_names ~engine ~trace ~keystore ~config ~host
-                ~rtu_ip:(Addressing.cable_plc k) ~breaker_names:spec.Plc.Power.breaker_names
-                ~client proxy_name
-            in
-            Scada.Rtu_proxy.start proxy ~poll_period:proxy_poll_period;
-            (Dnp3_rtu { fe_rtu = rtu; fe_proxy = proxy }, breakers)
-          end
-          else begin
-            let device =
-              Plc.Device.create ~engine ~trace ~name:spec.Plc.Power.plc_name
-                ~n_coils:(List.length spec.Plc.Power.breaker_names)
-            in
-            let breakers =
-              Array.of_list
-                (List.mapi
-                   (fun coil breaker_name ->
-                     let b = Plc.Breaker.create ~engine breaker_name in
-                     Plc.Device.wire_breaker device ~coil b;
-                     Power.Net.bind_breaker power_net b;
-                     b)
-                   spec.Plc.Power.breaker_names)
-            in
-            Plc.Device.serve_on device plc_host;
-            let proxy =
-              Scada.Proxy.create ~engine ~trace ~keystore ~config ~host
-                ~plc_ip:(Addressing.cable_plc k) ~breaker_names:spec.Plc.Power.breaker_names
-                ~client proxy_name
-            in
-            Scada.Proxy.start proxy ~poll_period:proxy_poll_period;
-            (Modbus_plc { fe_device = device; fe_proxy = proxy }, breakers)
-          end
+        let frontend =
+          let n_points = List.length spec.Plc.Power.breaker_names in
+          if use_dnp3 then Dnp3_rtu (Plc.Rtu.create ~engine ~n_points ())
+          else
+            Modbus_plc
+              (Plc.Device.create ~engine ~trace ~name:spec.Plc.Power.plc_name ~n_coils:n_points)
         in
+        let breakers =
+          Array.of_list
+            (List.mapi
+               (fun index breaker_name ->
+                 let b = Plc.Breaker.create ~engine breaker_name in
+                 (match frontend with
+                 | Dnp3_rtu rtu -> Plc.Rtu.wire_breaker rtu ~index b
+                 | Modbus_plc device -> Plc.Device.wire_breaker device ~coil:index b);
+                 Power.Net.bind_breaker power_net b;
+                 b)
+               spec.Plc.Power.breaker_names)
+        in
+        let device =
+          match frontend with
+          | Dnp3_rtu rtu ->
+              (* The RTU's analog image samples the site's measurement
+                 points (line flows, injections, frequency) from the
+                 electrical overlay at poll time. *)
+              let analog_names =
+                Power.Net.analog_names_for power_net ~plc:spec.Plc.Power.plc_name
+              in
+              Plc.Rtu.set_analog_source rtu (fun () ->
+                  List.map snd (Power.Net.analogs_for power_net ~plc:spec.Plc.Power.plc_name));
+              Plc.Rtu.serve_on rtu plc_host;
+              Scada.Proxy.Dnp3 { rtu_ip = Addressing.cable_plc k; analog_names }
+          | Modbus_plc device ->
+              Plc.Device.serve_on device plc_host;
+              Scada.Proxy.Modbus { plc_ip = Addressing.cable_plc k }
+        in
+        let proxy =
+          Scada.Proxy.create ~engine ~trace ~keystore ~config ~host ~device
+            ~breaker_names:spec.Plc.Power.breaker_names ~client proxy_name
+        in
+        Scada.Proxy.start proxy ~poll_period:proxy_poll_period;
         let bundle =
           {
             p_index = k;
@@ -546,13 +514,14 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
             p_host = host;
             p_session = session;
             p_frontend = frontend;
+            p_proxy = proxy;
             p_client = client;
             p_plc_host = plc_host;
             p_breakers = breakers;
           }
         in
         Spines.Node.Session.set_handler session (fun ~size:_ payload ->
-            proxy_handle_payload bundle payload);
+            Scada.Proxy.handle_payload proxy payload);
         Spines.Node.Session.start session;
         bundle)
   in
@@ -590,8 +559,6 @@ let create ?(hardened = true) ?(n_hmis = 1) ?(proxy_poll_period = 0.1) ?(dnp3_pl
   | None -> ());
   {
     engine;
-    trace;
-    keystore;
     config;
     scenario;
     power_net;
@@ -667,4 +634,4 @@ let ground_truth_reset t =
       Prime.Replica.restart_clean r.r_replica)
     t.replicas;
   (* Force proxies to re-report everything on their next poll. *)
-  Array.iter proxy_reset_reporting t.proxies
+  Array.iter (fun p -> Scada.Proxy.reset_reporting p.p_proxy) t.proxies

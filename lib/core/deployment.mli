@@ -10,9 +10,7 @@
     configuration the red team would have faced without them. *)
 
 (** A field site speaks either Modbus (PLC) or DNP3 (RTU). *)
-type field_frontend =
-  | Modbus_plc of { fe_device : Plc.Device.t; fe_proxy : Scada.Proxy.t }
-  | Dnp3_rtu of { fe_rtu : Plc.Rtu.t; fe_proxy : Scada.Rtu_proxy.t }
+type field_frontend = Modbus_plc of Plc.Device.t | Dnp3_rtu of Plc.Rtu.t
 
 type replica_bundle = {
   r_host : Netbase.Host.t;
@@ -32,6 +30,7 @@ type proxy_bundle = {
   p_host : Netbase.Host.t;
   p_session : Spines.Node.Session.session;
   p_frontend : field_frontend;
+  p_proxy : Scada.Proxy.t;  (** the site's proxy, whatever its protocol *)
   p_client : Prime.Client.t;
   p_plc_host : Netbase.Host.t;
   p_breakers : Plc.Breaker.t array;
@@ -68,10 +67,6 @@ val create :
 
 val engine : t -> Sim.Engine.t
 
-val trace : t -> Sim.Trace.t
-
-val keystore : t -> Crypto.Signature.keystore
-
 val config : t -> Prime.Config.t
 
 val scenario : t -> Plc.Power.scenario
@@ -107,9 +102,6 @@ val external_switch : t -> Netbase.Switch.t
 val internal_pcap : t -> Netbase.Pcap.t
 
 val external_pcap : t -> Netbase.Pcap.t
-
-(** Dispatch a SCADA payload to a site's proxy, whatever its protocol. *)
-val proxy_handle_payload : proxy_bundle -> Netbase.Packet.payload -> unit
 
 (** Locate a breaker by name across all sites. *)
 val find_breaker : t -> string -> (proxy_bundle * Plc.Breaker.t) option

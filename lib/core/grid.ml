@@ -18,11 +18,7 @@
 
 type shard = { s_index : int; s_label : string; s_deployment : Deployment.t }
 
-type t = {
-  engine : Sim.Engine.t;
-  map : Scada.Shard.t;
-  shard_bundles : shard array;
-}
+type t = { map : Scada.Shard.t; shard_bundles : shard array }
 
 let create ?hardened ?n_hmis ?proxy_poll_period ?dnp3_plcs ?switch_bandwidth ~engine ~trace
     ~config ~shards scenario =
@@ -37,9 +33,7 @@ let create ?hardened ?n_hmis ?proxy_poll_period ?dnp3_plcs ?switch_bandwidth ~en
         in
         { s_index = s; s_label = label; s_deployment = deployment })
   in
-  { engine; map; shard_bundles }
-
-let engine t = t.engine
+  { map; shard_bundles }
 
 let map t = t.map
 

@@ -23,8 +23,6 @@ val create :
   Plc.Power.scenario ->
   t
 
-val engine : t -> Sim.Engine.t
-
 val map : t -> Scada.Shard.t
 
 val shard_count : t -> int

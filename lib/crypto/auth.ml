@@ -17,10 +17,6 @@ let sign kp body = Direct (Signature.sign kp body)
 
 let sign_batch kp bodies = Array.map (fun att -> Batched att) (Merkle.Batch.sign kp bodies)
 
-let signer = function
-  | Direct s -> Signature.signer s
-  | Batched att -> Merkle.Batch.signer att
-
 (* The (message, signature) pair established by the HMAC check — after
    validating, for batched form, that the inclusion proof binds [body] to
    the signed root (hashing only; [None] when it does not). *)

@@ -18,8 +18,6 @@ val sign : Signature.keypair -> string -> t
     one authenticator per body, in order. Raises on an empty array. *)
 val sign_batch : Signature.keypair -> string array -> t array
 
-val signer : t -> Signature.identity
-
 (** The (message, signature) pair whose HMAC check authenticates this
     value over [body]: the body itself for [Direct]; the domain-separated
     batch root for [Batched], provided the inclusion proof binds [body]

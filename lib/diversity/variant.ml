@@ -20,8 +20,6 @@ let compile ?(diversify = true) rng =
 
 let equal a b = String.equal a.build_id b.build_id
 
-let pp ppf t = Fmt.pf ppf "variant[%s]" (String.sub t.build_id 0 (min 8 (String.length t.build_id)))
-
 module Exploit = struct
   type exploit = { target_build : string; exploit_name : string }
 

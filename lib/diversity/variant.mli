@@ -8,8 +8,6 @@ val compile : ?diversify:bool -> Sim.Rng.t -> t
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 module Exploit : sig
   type exploit
 

@@ -66,8 +66,6 @@ let create ~engine ~trace name =
          | Packet.Ipv4 _ | Packet.Arp_request _ | Packet.Arp_reply _ -> false));
   t
 
-let counters t = t.counters
-
 let add_interface t ~ip switch =
   let nic = Host.add_nic t.host ~ip in
   let port = Host.plug_into_switch t.host nic switch in

@@ -13,8 +13,6 @@ type acl_entry = {
 
 val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> string -> t
 
-val counters : t -> Sim.Stats.Counter.t
-
 (** Attach an interface with address [ip] to [switch]. Hosts on that
     segment should use this address as their default gateway. *)
 val add_interface : t -> ip:Addr.Ip.t -> Switch.t -> Host.nic

@@ -51,8 +51,6 @@ let create ?(mode = Learning) ?(bandwidth = 125_000_000.0)
     max_backlog;
   }
 
-let name t = t.name
-
 let counters t = t.counters
 
 let attach t deliver =

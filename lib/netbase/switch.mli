@@ -18,8 +18,6 @@ val create :
   string ->
   t
 
-val name : t -> string
-
 val counters : t -> Sim.Stats.Counter.t
 
 (** [attach t deliver] adds a port whose egress calls [deliver]. *)

@@ -76,7 +76,3 @@ let force t position =
   end
 
 let toggle_force t = force t (match t.actual with Open -> Closed | Closed -> Open)
-
-let position_to_string = function Open -> "open" | Closed -> "closed"
-
-let pp ppf t = Fmt.pf ppf "%s=%s" t.name (position_to_string t.actual)

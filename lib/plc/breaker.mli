@@ -28,5 +28,3 @@ val command : t -> position -> unit
 val force : t -> position -> unit
 
 val toggle_force : t -> unit
-
-val pp : Format.formatter -> t -> unit

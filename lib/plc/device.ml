@@ -40,10 +40,6 @@ let create ~engine ~trace ~name ~n_coils =
     counters = Sim.Stats.Counter.create ();
   }
 
-let name t = t.name
-
-let counters t = t.counters
-
 let n_coils t = Array.length t.coils
 
 let logic_compromised t = not (String.equal t.config t.original_config)

@@ -20,10 +20,6 @@ type t
 
 val create : engine:Sim.Engine.t -> trace:Sim.Trace.t -> name:string -> n_coils:int -> t
 
-val name : t -> string
-
-val counters : t -> Sim.Stats.Counter.t
-
 val n_coils : t -> int
 
 (** Has a non-factory configuration been uploaded? *)

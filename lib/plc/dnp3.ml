@@ -19,9 +19,12 @@ type request =
   | Read_class of { classes : int list (* 0 = static, 1..3 = event classes *) }
   | Read_analogs (* group-30 style static analog input read *)
   | Operate of { index : int; close : bool (* CROB latch on/off *) }
-  | Clear_events
+  | Clear_events of { through : int (* newest [ev_number] the master has read *) }
 
-type event = { ev_index : int; ev_closed : bool; ev_time : float }
+(* [ev_number] counts the outstation's events from 1; a clear names the
+   newest one the master read, so events recorded after that read
+   survive it. *)
+type event = { ev_number : int; ev_index : int; ev_closed : bool; ev_time : float }
 
 type response =
   | Static_data of bool list (* binary input states by index *)
@@ -99,7 +102,9 @@ let encode_request { sequence; body } =
       u8 buf 0x04;
       u16 buf index;
       u8 buf (if close then 0x03 (* latch on *) else 0x04 (* latch off *))
-  | Clear_events -> u8 buf 0x7E);
+  | Clear_events { through } ->
+      u8 buf 0x7E;
+      u32 buf through);
   frame (Buffer.contents buf)
 
 let decode_request s =
@@ -121,7 +126,9 @@ let decode_request s =
         | 0x03 -> Operate { index; close = true }
         | 0x04 -> Operate { index; close = false }
         | code -> raise (Decode_error (Printf.sprintf "bad CROB code 0x%02x" code)))
-    | 0x7E -> Clear_events
+    | 0x7E ->
+        need p 2 4;
+        Clear_events { through = get_u32 p 2 }
     | code -> raise (Decode_error (Printf.sprintf "unsupported function 0x%02x" code))
   in
   { sequence; body }
@@ -148,6 +155,7 @@ let encode_response { sequence; body } =
       u16 buf (List.length events);
       List.iter
         (fun e ->
+          u32 buf e.ev_number;
           u16 buf e.ev_index;
           u8 buf (if e.ev_closed then 1 else 0);
           u32 buf (int_of_float (e.ev_time *. 1000.0)))
@@ -186,14 +194,15 @@ let decode_response s =
     | 0x02 ->
         need p 3 2;
         let n = get_u16 p 3 in
-        need p 5 (n * 7);
+        need p 5 (n * 11);
         Events
           (List.init n (fun i ->
-               let off = 5 + (i * 7) in
+               let off = 5 + (i * 11) in
                {
-                 ev_index = get_u16 p off;
-                 ev_closed = get_u8 p (off + 2) = 1;
-                 ev_time = float_of_int (get_u32 p (off + 3)) /. 1000.0;
+                 ev_number = get_u32 p off;
+                 ev_index = get_u16 p (off + 4);
+                 ev_closed = get_u8 p (off + 6) = 1;
+                 ev_time = float_of_int (get_u32 p (off + 7)) /. 1000.0;
                }))
     | 0x03 ->
         need p 3 4;

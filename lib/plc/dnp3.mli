@@ -9,9 +9,12 @@ type request =
   | Read_class of { classes : int list (* 0 = static, 1..3 = event classes *) }
   | Read_analogs (* group-30 style static analog input read *)
   | Operate of { index : int; close : bool }
-  | Clear_events
+  | Clear_events of { through : int }
+      (** Drop the buffered events numbered up to [through], the newest
+          event the master has read; later events stay buffered. *)
 
-type event = { ev_index : int; ev_closed : bool; ev_time : float }
+(** [ev_number] counts the outstation's events from 1. *)
+type event = { ev_number : int; ev_index : int; ev_closed : bool; ev_time : float }
 
 type response =
   | Static_data of bool list

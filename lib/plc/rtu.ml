@@ -11,50 +11,49 @@
    a dedicated wire behind its proxy. *)
 
 type t = {
-  name : string;
   engine : Sim.Engine.t;
-  trace : Sim.Trace.t;
   breakers : Breaker.t option array;
   mutable events : Dnp3.event list; (* newest first *)
+  mutable recorded : int; (* events ever recorded: the newest [ev_number] *)
   mutable events_overflowed : bool;
   event_buffer_limit : int;
   mutable analog_source : (unit -> int list) option; (* group-30 analog image *)
   counters : Sim.Stats.Counter.t;
 }
 
-let create ?(event_buffer_limit = 256) ~engine ~trace ~name ~n_points () =
+let create ?(event_buffer_limit = 256) ~engine ~n_points () =
   {
-    name;
     engine;
-    trace;
     breakers = Array.make n_points None;
     events = [];
+    recorded = 0;
     events_overflowed = false;
     event_buffer_limit;
     analog_source = None;
     counters = Sim.Stats.Counter.create ();
   }
 
-let name t = t.name
-
-let counters t = t.counters
-
 let pending_events t = List.length t.events
 
 let events_overflowed t = t.events_overflowed
 
 let record_event t ~index ~closed =
+  t.recorded <- t.recorded + 1;
+  let event =
+    {
+      Dnp3.ev_number = t.recorded;
+      ev_index = index;
+      ev_closed = closed;
+      ev_time = Sim.Engine.now t.engine;
+    }
+  in
   if List.length t.events >= t.event_buffer_limit then begin
     (* Oldest events are shed; the master must fall back to a static read
        (integrity poll) to resynchronise — as real DNP3 masters do. *)
     t.events_overflowed <- true;
-    t.events <- { Dnp3.ev_index = index; ev_closed = closed; ev_time = Sim.Engine.now t.engine }
-                :: (List.filteri (fun i _ -> i < t.event_buffer_limit - 1) t.events)
+    t.events <- event :: List.filteri (fun i _ -> i < t.event_buffer_limit - 1) t.events
   end
-  else
-    t.events <-
-      { Dnp3.ev_index = index; ev_closed = closed; ev_time = Sim.Engine.now t.engine }
-      :: t.events
+  else t.events <- event :: t.events
 
 (* The measurement image is pulled on demand — the physical model owns
    the values; the RTU only samples them at poll time. *)
@@ -90,8 +89,10 @@ let handle_request t (req : Dnp3.request Dnp3.framed) : Dnp3.response Dnp3.frame
           Dnp3.Operate_ack { op_index = index; op_close = close; success = t.breakers.(index) <> None }
         end
         else Dnp3.Operate_ack { op_index = index; op_close = close; success = false }
-    | Dnp3.Clear_events ->
-        t.events <- [];
+    | Dnp3.Clear_events { through } ->
+        (* Only what the master read: an event recorded between its read
+           and this clear is still unreported. *)
+        t.events <- List.filter (fun e -> e.Dnp3.ev_number > through) t.events;
         t.events_overflowed <- false;
         Dnp3.Events_cleared
   in

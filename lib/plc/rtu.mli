@@ -7,15 +7,9 @@ type t
 val create :
   ?event_buffer_limit:int ->
   engine:Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  name:string ->
   n_points:int ->
   unit ->
   t
-
-val name : t -> string
-
-val counters : t -> Sim.Stats.Counter.t
 
 val pending_events : t -> int
 

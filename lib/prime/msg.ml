@@ -327,31 +327,3 @@ let size _config_n = function
       48 + (8 * Array.length cr_cursor)
       + List.fold_left (fun acc (_, u) -> acc + 16 + Update.size u) 0 cr_entries
   | Client_reply { crep_sig; _ } -> 80 + Crypto.Auth.size_bytes crep_sig
-
-let describe = function
-  | Update_msg u -> Printf.sprintf "update %s#%d" u.Update.client u.Update.client_seq
-  | Po_request { origin; po_seq; _ } -> Printf.sprintf "po-request (%d,%d)" origin po_seq
-  | Po_ack { acker; ack_origin; ack_po_seq; _ } ->
-      Printf.sprintf "po-ack by %d for (%d,%d)" acker ack_origin ack_po_seq
-  | Po_summary s -> Printf.sprintf "po-summary from %d" s.sum_rep
-  | Pre_prepare { pp_view; pp_seq; _ } -> Printf.sprintf "pre-prepare v%d #%d" pp_view pp_seq
-  | Prepare { prep_rep; prep_seq; _ } -> Printf.sprintf "prepare by %d #%d" prep_rep prep_seq
-  | Commit { com_rep; com_seq; _ } -> Printf.sprintf "commit by %d #%d" com_rep com_seq
-  | Suspect_leader { sus_rep; sus_view; _ } ->
-      Printf.sprintf "suspect v%d by %d" sus_view sus_rep
-  | Vc_report { vc_rep; vc_view; _ } -> Printf.sprintf "vc-report v%d by %d" vc_view vc_rep
-  | Origin_reset { or_rep; or_new_start; _ } ->
-      Printf.sprintf "origin-reset %d -> %d" or_rep or_new_start
-  | Recon_floor { rf_origin; rf_new_start; _ } ->
-      Printf.sprintf "recon-floor %d -> %d" rf_origin rf_new_start
-  | Recon_request { rr_rep; rr_origin; rr_po_seq } ->
-      Printf.sprintf "recon-request by %d for (%d,%d)" rr_rep rr_origin rr_po_seq
-  | Recon_reply { rp_origin; rp_po_seq; _ } ->
-      Printf.sprintf "recon-reply for (%d,%d)" rp_origin rp_po_seq
-  | Order_cert { oc_rep; oc_seq; oc_view; _ } ->
-      Printf.sprintf "order-cert v%d #%d via %d" oc_view oc_seq oc_rep
-  | Catchup_request { cu_rep; cu_from; _ } ->
-      Printf.sprintf "catchup-request by %d from %d" cu_rep cu_from
-  | Catchup_reply { cr_upto; _ } -> Printf.sprintf "catchup-reply upto %d" cr_upto
-  | Client_reply { crep_client; crep_client_seq; _ } ->
-      Printf.sprintf "client-reply %s#%d" crep_client crep_client_seq

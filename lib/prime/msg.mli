@@ -154,5 +154,3 @@ val encode_client_reply : rep:int -> client:string -> client_seq:int -> exec_seq
 
 (** Approximate wire size for a cluster of [n] replicas. *)
 val size : int -> t -> int
-
-val describe : t -> string

@@ -26,8 +26,6 @@ let create ~capacity =
 
 let size t = Hashtbl.length t.table
 
-let capacity t = t.capacity
-
 let clear t =
   Hashtbl.reset t.table;
   Queue.clear t.order

@@ -12,8 +12,6 @@ val create : capacity:int -> t
 
 val size : t -> int
 
-val capacity : t -> int
-
 val clear : t -> unit
 
 (** Check an {!Crypto.Auth.t} over [body]. [`Hit]: the underlying triple

@@ -45,10 +45,6 @@ let create ~engine ~trace ~keystore ~config ~scenario ~client name =
     (Plc.Power.all_breakers scenario);
   t
 
-let name t = t.name
-
-let counters t = t.counters
-
 let on_display_change t f = t.on_display_change <- f :: t.on_display_change
 
 let displayed_closed t breaker =

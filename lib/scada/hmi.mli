@@ -15,10 +15,6 @@ val create :
   string ->
   t
 
-val name : t -> string
-
-val counters : t -> Sim.Stats.Counter.t
-
 (** Hook fired whenever a display cell repaints. *)
 val on_display_change : t -> (breaker:string -> closed:bool -> unit) -> unit
 

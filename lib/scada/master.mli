@@ -22,8 +22,6 @@ val create :
   net:net ->
   t
 
-val id : t -> int
-
 val state : t -> State.t
 
 val counters : t -> Sim.Stats.Counter.t

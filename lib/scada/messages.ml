@@ -89,17 +89,3 @@ let size = function
       + (24 * List.length client_seqs)
   | Checkpoint_reply { ckr_ck; _ } ->
       16 + Crypto.Signature.size_bytes + Store.Checkpoint.size ckr_ck
-
-let describe = function
-  | Breaker_command { bc_rep; bc_breaker; bc_close; _ } ->
-      Printf.sprintf "breaker-command %s=%b from replica %d" bc_breaker bc_close bc_rep
-  | Hmi_state { hs_rep; hs_breaker; hs_closed; _ } ->
-      Printf.sprintf "hmi-state %s=%b from replica %d" hs_breaker hs_closed hs_rep
-  | Hmi_batch { hb_rep; hb_changes; _ } ->
-      Printf.sprintf "hmi-batch of %d changes from replica %d" (List.length hb_changes) hb_rep
-  | App_state_request { asr_rep } -> Printf.sprintf "app-state-request from replica %d" asr_rep
-  | App_state_reply { rep; exec_seq; _ } ->
-      Printf.sprintf "app-state-reply from replica %d at exec %d" rep exec_seq
-  | Checkpoint_reply { ckr_rep; ckr_ck; _ } ->
-      Printf.sprintf "checkpoint-reply from replica %d at exec %d" ckr_rep
-        ckr_ck.Store.Checkpoint.ck_exec_seq

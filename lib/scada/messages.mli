@@ -69,5 +69,3 @@ val encode_app_state_reply :
 
 (** Approximate wire size in bytes. *)
 val size : t -> int
-
-val describe : t -> string

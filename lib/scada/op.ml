@@ -93,5 +93,3 @@ let updates = function
   | Command _ -> 0
   | Batch { reports; _ } -> List.length reports
   | Telemetry _ -> 0
-
-let pp ppf op = Fmt.string ppf (encode op)

@@ -25,5 +25,3 @@ val decode : string -> t option
 (** Device updates carried: 1 per status, 0 per command or telemetry,
     report count per batch. *)
 val updates : t -> int
-
-val pp : Format.formatter -> t -> unit

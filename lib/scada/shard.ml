@@ -15,7 +15,6 @@
 
 type t = {
   shards : int;
-  scenario : Plc.Power.scenario;
   sub_scenarios : Plc.Power.scenario array;
   site_to_shard : (string, int) Hashtbl.t;
   breaker_to_shard : (string, int) Hashtbl.t;
@@ -50,11 +49,9 @@ let create ~shards scenario =
           feeds = List.filter (fun f -> feed_shard f = s) scenario.Plc.Power.feeds;
         })
   in
-  { shards; scenario; sub_scenarios; site_to_shard; breaker_to_shard }
+  { shards; sub_scenarios; site_to_shard; breaker_to_shard }
 
 let shards t = t.shards
-
-let scenario t = t.scenario
 
 let sub_scenario t s =
   if s < 0 || s >= t.shards then invalid_arg "Shard.sub_scenario: shard out of range";
@@ -67,12 +64,3 @@ let shard_of_breaker t name = Hashtbl.find_opt t.breaker_to_shard name
 (* Stable short label used to suffix probe names and group monitor
    output ("@s03"). *)
 let label s = Printf.sprintf "s%02d" s
-
-let pp ppf t =
-  Format.fprintf ppf "%s over %d shards:" t.scenario.Plc.Power.scenario_name t.shards;
-  Array.iteri
-    (fun s (sub : Plc.Power.scenario) ->
-      Format.fprintf ppf "@ %s=%d sites/%d breakers" (label s)
-        (List.length sub.Plc.Power.plcs)
-        (Plc.Power.total_breakers sub))
-    t.sub_scenarios

@@ -11,9 +11,6 @@ val create : shards:int -> Plc.Power.scenario -> t
 
 val shards : t -> int
 
-(** The whole (unsharded) scenario the map was built from. *)
-val scenario : t -> Plc.Power.scenario
-
 (** The scenario slice owned by one shard; its name is suffixed
     "/sNN". Raises [Invalid_argument] out of range. *)
 val sub_scenario : t -> int -> Plc.Power.scenario
@@ -25,5 +22,3 @@ val shard_of_breaker : t -> string -> int option
 (** Stable short shard label ("s03") used in probe suffixes and monitor
     grouping. *)
 val label : int -> string
-
-val pp : Format.formatter -> t -> unit

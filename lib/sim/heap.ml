@@ -25,8 +25,6 @@ let length t = t.size
 
 let capacity t = Array.length t.data
 
-let is_empty t = t.size = 0
-
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
 let grow t =

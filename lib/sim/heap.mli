@@ -15,8 +15,6 @@ val length : 'a t -> int
     push). Exposed so the engine can surface queue sizing. *)
 val capacity : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** [push t ~key v] inserts [v] with priority [key]. *)
 val push : 'a t -> key:float -> 'a -> unit
 

@@ -44,8 +44,6 @@ let create ~capacity () =
 
 let length t = t.length
 
-let is_empty t = t.length = 0
-
 let drops t = t.drops
 
 let band_for t prio =
@@ -162,7 +160,3 @@ let drain t =
       round ())
     prios;
   List.rev !out
-
-let clear t =
-  Hashtbl.reset t.bands;
-  t.length <- 0

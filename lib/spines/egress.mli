@@ -20,8 +20,6 @@ val create : capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** Total messages dropped by the overflow policy ([Rejected] arrivals
     plus [Evicted] victims). *)
 val drops : 'a t -> int
@@ -38,5 +36,3 @@ val enqueue : 'a t -> prio:int -> origin:int -> 'a -> 'a outcome
     round-robin in sorted origin order, with the fairness cursor
     persisting across drains. Returns [(prio, origin, msg)] triples. *)
 val drain : 'a t -> (int * int * 'a) list
-
-val clear : 'a t -> unit

@@ -226,8 +226,6 @@ let create ~engine ~trace ~host ~id config =
       ]);
   t
 
-let id t = t.id
-
 let counters t = t.counters
 
 let is_running t = t.running

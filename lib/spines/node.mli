@@ -47,8 +47,6 @@ type t
 val create :
   engine:Sim.Engine.t -> trace:Sim.Trace.t -> host:Netbase.Host.t -> id:node_id -> config -> t
 
-val id : t -> node_id
-
 val counters : t -> Sim.Stats.Counter.t
 
 val is_running : t -> bool

@@ -23,9 +23,6 @@ type t = {
   ck_auth : Crypto.Auth.t;
 }
 
-(** The domain-separated byte string the signature covers. *)
-val root_binding : Crypto.Sha256.digest -> string
-
 val make :
   keypair:Crypto.Signature.keypair ->
   replica:int ->

@@ -17,7 +17,6 @@ type file = {
 }
 
 type t = {
-  name : string;
   rng : Sim.Rng.t;
   files : (string, file) Hashtbl.t;
   counters : Sim.Stats.Counter.t;
@@ -27,16 +26,13 @@ type t = {
 (* Mean modeled stall per fsync, seconds. *)
 let fsync_latency = 5e-4
 
-let create ~rng name =
+let create ~rng _name =
   {
-    name;
     rng;
     files = Hashtbl.create 8;
     counters = Sim.Stats.Counter.create ();
     io_stall = 0.0;
   }
-
-let name t = t.name
 
 let counters t = t.counters
 

@@ -5,9 +5,9 @@
 
 type t
 
+(** The string names the device at the call site only: the device keeps
+    no name. *)
 val create : rng:Sim.Rng.t -> string -> t
-
-val name : t -> string
 
 val counters : t -> Sim.Stats.Counter.t
 

@@ -15,10 +15,10 @@ let mini_scenario =
   }
 
 let make_spire ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(hardened = true)
-    ?(scenario = mini_scenario) () =
+    ?(scenario = mini_scenario) ?dnp3_plcs () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
-  let d = Spire.Deployment.create ~hardened ~engine ~trace ~config scenario in
+  let d = Spire.Deployment.create ~hardened ?dnp3_plcs ~engine ~trace ~config scenario in
   (engine, d)
 
 let run engine ~until = Sim.Engine.run ~until engine
@@ -68,32 +68,70 @@ let test_command_actuates_breaker () =
   let loads = Scada.Hmi.energized_loads (hmi d) in
   Alcotest.(check (list (pair string bool))) "building dark" [ ("Building-A", false) ] loads
 
+(* The MAIN site behind either field protocol: the command gate is one
+   code path, and both protocols must honour it. *)
+let protocols = [ ("modbus", None); ("dnp3", Some [ "MAIN" ]) ]
+
+(* A command for B57 signed by replica [rep] for execution point 9999,
+   which the ordered system never produced. *)
+let signed_command d ~rep =
+  let r = (Spire.Deployment.replicas d).(rep) in
+  let body =
+    Scada.Messages.encode_breaker_command ~rep ~exec_seq:9999 ~breaker:"B57" ~close:false
+  in
+  Scada.Messages.Scada_msg
+    (Scada.Messages.Breaker_command
+       {
+         bc_rep = rep;
+         bc_exec_seq = 9999;
+         bc_breaker = "B57";
+         bc_close = false;
+         bc_sig = Crypto.Signature.sign r.Spire.Deployment.r_keypair body;
+       })
+
+let count_actuations proxy =
+  let n = ref 0 in
+  Scada.Proxy.set_on_actuate proxy (fun ~key:_ ~breaker:_ ~close:_ -> incr n);
+  n
+
 let test_single_master_cannot_actuate () =
   (* A compromised master alone sends a forged command directly to the
      proxy; the f + 1 threshold must hold the line. *)
-  let engine, d = make_spire () in
-  run engine ~until:3.0;
-  let r0 = (Spire.Deployment.replicas d).(0) in
-  let proxy_bundle = (Spire.Deployment.proxies d).(0) in
-  let body =
-    Scada.Messages.encode_breaker_command ~rep:0 ~exec_seq:9999 ~breaker:"B57" ~close:false
-  in
-  let forged =
-    Scada.Messages.Breaker_command
-      {
-        bc_rep = 0;
-        bc_exec_seq = 9999;
-        bc_breaker = "B57";
-        bc_close = false;
-        bc_sig = Crypto.Signature.sign r0.Spire.Deployment.r_keypair body;
-      }
-  in
-  (* Deliver it straight to the proxy several times (replay included). *)
-  for _ = 1 to 5 do
-    Spire.Deployment.proxy_handle_payload proxy_bundle (Scada.Messages.Scada_msg forged)
-  done;
-  run engine ~until:6.0;
-  check "breaker still closed" true (Plc.Breaker.is_closed (main_breaker d "B57"))
+  List.iter
+    (fun (protocol, dnp3_plcs) ->
+      let engine, d = make_spire ?dnp3_plcs () in
+      run engine ~until:3.0;
+      let proxy = (Spire.Deployment.proxies d).(0).Spire.Deployment.p_proxy in
+      let actuations = count_actuations proxy in
+      (* Deliver it straight to the proxy several times (replay included). *)
+      for _ = 1 to 5 do
+        Scada.Proxy.handle_payload proxy (signed_command d ~rep:0)
+      done;
+      run engine ~until:6.0;
+      check_int (protocol ^ ": never actuated") 0 !actuations;
+      check (protocol ^ ": breaker still closed") true
+        (Plc.Breaker.is_closed (main_breaker d "B57")))
+    protocols
+
+let test_f_plus_one_masters_actuate_once () =
+  (* f + 1 distinct replicas vouch for the same command: the gate opens
+     exactly once, and replays of either vote change nothing. *)
+  List.iter
+    (fun (protocol, dnp3_plcs) ->
+      let engine, d = make_spire ?dnp3_plcs () in
+      run engine ~until:3.0;
+      let proxy = (Spire.Deployment.proxies d).(0).Spire.Deployment.p_proxy in
+      let actuations = count_actuations proxy in
+      for _ = 1 to 3 do
+        Scada.Proxy.handle_payload proxy (signed_command d ~rep:0);
+        Scada.Proxy.handle_payload proxy (signed_command d ~rep:1)
+      done;
+      run engine ~until:6.0;
+      check_int (protocol ^ ": actuated exactly once") 1 !actuations;
+      check_int (protocol ^ ": one actuation counted") 1
+        (Sim.Stats.Counter.get (Scada.Proxy.counters proxy) "command.actuated");
+      check (protocol ^ ": breaker opened") false (Plc.Breaker.is_closed (main_breaker d "B57")))
+    protocols
 
 let test_replica_crash_transparent () =
   let engine, d = make_spire () in
@@ -455,6 +493,7 @@ let suite =
     ("status propagates to hmi", `Quick, test_status_propagates_to_hmi);
     ("command actuates breaker", `Quick, test_command_actuates_breaker);
     ("single master cannot actuate", `Quick, test_single_master_cannot_actuate);
+    ("f + 1 masters actuate once", `Quick, test_f_plus_one_masters_actuate_once);
     ("replica crash transparent", `Quick, test_replica_crash_transparent);
     ("proactive recovery cycle", `Quick, test_proactive_recovery_cycle);
     ("application state transfer between masters", `Slow,

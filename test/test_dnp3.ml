@@ -18,7 +18,8 @@ let test_request_roundtrips () =
       Plc.Dnp3.Read_class { classes = [ 1; 2; 3 ] };
       Plc.Dnp3.Operate { index = 7; close = true };
       Plc.Dnp3.Operate { index = 1000; close = false };
-      Plc.Dnp3.Clear_events;
+      Plc.Dnp3.Clear_events { through = 0 };
+      Plc.Dnp3.Clear_events { through = 70_000 };
     ]
   in
   List.iteri
@@ -34,8 +35,8 @@ let test_response_roundtrips () =
       Plc.Dnp3.Static_data [];
       Plc.Dnp3.Events
         [
-          { Plc.Dnp3.ev_index = 3; ev_closed = false; ev_time = 12.5 };
-          { Plc.Dnp3.ev_index = 0; ev_closed = true; ev_time = 13.75 };
+          { Plc.Dnp3.ev_number = 1; ev_index = 3; ev_closed = false; ev_time = 12.5 };
+          { Plc.Dnp3.ev_number = 70_000; ev_index = 0; ev_closed = true; ev_time = 13.75 };
         ];
       Plc.Dnp3.Operate_ack { op_index = 2; op_close = true; success = true };
       Plc.Dnp3.Operate_ack { op_index = 9; op_close = false; success = false };
@@ -50,7 +51,7 @@ let test_response_roundtrips () =
 
 let test_checksum_rejected () =
   let bytes =
-    Plc.Dnp3.encode_request { Plc.Dnp3.sequence = 1; body = Plc.Dnp3.Clear_events }
+    Plc.Dnp3.encode_request { Plc.Dnp3.sequence = 1; body = Plc.Dnp3.Clear_events { through = 1 } }
   in
   (* Corrupt one payload byte. *)
   let corrupted = Bytes.of_string bytes in
@@ -85,8 +86,7 @@ let prop_static_roundtrip =
 
 let make_rtu () =
   let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let rtu = Plc.Rtu.create ~engine ~trace ~name:"RTU-1" ~n_points:3 () in
+  let rtu = Plc.Rtu.create ~engine ~n_points:3 () in
   let breakers =
     Array.init 3 (fun i ->
         let b = Plc.Breaker.create ~engine ~actuation_delay:0.05 (Printf.sprintf "P%d" i) in
@@ -118,25 +118,59 @@ let test_rtu_buffers_events_with_timestamps () =
       check "second event closed" true e2.Plc.Dnp3.ev_closed;
       Alcotest.(check (float 0.001)) "device timestamp 2" 2.5 e2.Plc.Dnp3.ev_time
   | _ -> Alcotest.fail "expected two events");
-  (* Clearing empties the buffer. *)
-  (match ask rtu Plc.Dnp3.Clear_events with
+  (* Clearing through the newest read event empties the buffer. *)
+  (match ask rtu (Plc.Dnp3.Clear_events { through = 2 }) with
   | Plc.Dnp3.Events_cleared -> ()
   | _ -> Alcotest.fail "expected clear ack");
   match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
   | Plc.Dnp3.Events [] -> ()
   | _ -> Alcotest.fail "buffer should be empty"
 
+let test_rtu_clear_keeps_unread_events () =
+  (* A change recorded between the master's event read and its clear was
+     never reported: the clear must leave it buffered for the next read.
+     Otherwise a flip and flip-back inside that window vanish, since the
+     integrity poll then sees no change. *)
+  let engine, rtu, breakers = make_rtu () in
+  Plc.Breaker.force breakers.(0) Plc.Breaker.Open;
+  let through =
+    match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
+    | Plc.Dnp3.Events [ e ] -> e.Plc.Dnp3.ev_number
+    | _ -> Alcotest.fail "expected one event"
+  in
+  Sim.Engine.run ~until:0.5 engine;
+  Plc.Breaker.force breakers.(0) Plc.Breaker.Closed;
+  (match ask rtu (Plc.Dnp3.Clear_events { through }) with
+  | Plc.Dnp3.Events_cleared -> ()
+  | _ -> Alcotest.fail "expected clear ack");
+  match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
+  | Plc.Dnp3.Events [ e ] ->
+      check "unread flip-back survives the clear" true e.Plc.Dnp3.ev_closed;
+      Alcotest.(check (float 0.001)) "its device time" 0.5 e.Plc.Dnp3.ev_time
+  | _ -> Alcotest.fail "expected the unread event"
+
 let test_rtu_event_overflow () =
   let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let rtu = Plc.Rtu.create ~event_buffer_limit:5 ~engine ~trace ~name:"RTU-S" ~n_points:1 () in
+  let rtu = Plc.Rtu.create ~event_buffer_limit:5 ~engine ~n_points:1 () in
   let b = Plc.Breaker.create ~engine "P0" in
   Plc.Rtu.wire_breaker rtu ~index:0 b;
   for _ = 1 to 10 do
     Plc.Breaker.toggle_force b
   done;
   check "overflow flagged" true (Plc.Rtu.events_overflowed rtu);
-  check "buffer bounded" true (Plc.Rtu.pending_events rtu <= 5)
+  check "buffer bounded" true (Plc.Rtu.pending_events rtu <= 5);
+  (* Events shed between a read and its clear shift the buffer; the
+     clear still removes only events up to the newest one read. *)
+  let through =
+    match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
+    | Plc.Dnp3.Events events -> List.fold_left (fun n e -> max n e.Plc.Dnp3.ev_number) 0 events
+    | _ -> Alcotest.fail "expected events"
+  in
+  for _ = 1 to 3 do
+    Plc.Breaker.toggle_force b
+  done;
+  ignore (ask rtu (Plc.Dnp3.Clear_events { through }));
+  check_int "the three unread events survive" 3 (Plc.Rtu.pending_events rtu)
 
 let test_rtu_operate () =
   let engine, rtu, breakers = make_rtu () in
@@ -189,6 +223,65 @@ let test_deployment_with_dnp3_rtu () =
     | Spire.Deployment.Dnp3_rtu _ -> 1
     | Spire.Deployment.Modbus_plc _ -> 0)
 
+(* Same-seed output of an all-DNP3 deployment, pinned by SHA-256: the
+   flight log, every replica's execution point and state digest, and the
+   HMI's displayed position of every breaker. The run covers event and
+   integrity polls, analog telemetry, an FDIA analog freeze on SUB-002 at
+   5 s and a forced open of SUB-002/B00 at 6 s. *)
+let dnp3_golden_digest () =
+  let flight = Obs.Flight.default in
+  let prev_flight = Obs.Flight.enabled flight in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Flight.reset flight;
+      Obs.Flight.set_enabled flight prev_flight)
+  @@ fun () ->
+  Obs.Flight.reset flight;
+  Obs.Flight.set_enabled flight true;
+  let engine = Sim.Engine.create ~seed:11L () in
+  Obs.Flight.set_clock flight (fun () -> Sim.Engine.now engine);
+  let trace = Sim.Trace.create () in
+  let scenario = Plc.Power.synthetic ~devices:100 () in
+  let dnp3_plcs =
+    List.map (fun (p : Plc.Power.plc_spec) -> p.Plc.Power.plc_name) scenario.Plc.Power.plcs
+  in
+  let config = Prime.Config.power_plant () in
+  let d = Spire.Deployment.create ~dnp3_plcs ~engine ~trace ~config scenario in
+  ignore
+    (Sim.Engine.schedule_at engine ~time:5.0 (fun () ->
+         match Attack.Fdia.launch d ~site:"SUB-002" with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail e));
+  ignore
+    (Sim.Engine.schedule_at engine ~time:6.0 (fun () ->
+         match Attack.Fdia.force_open d ~breaker:"SUB-002/B00" with
+         | Ok () -> ()
+         | Error e -> Alcotest.fail e));
+  Sim.Engine.run ~until:12.0 engine;
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Obs.Flight.to_jsonl flight);
+  Array.iter
+    (fun r ->
+      Printf.bprintf buf "replica exec_seq=%d digest=%s\n"
+        (Prime.Replica.exec_seq r.Spire.Deployment.r_replica)
+        (Scada.State.digest (Scada.Master.state r.Spire.Deployment.r_master)))
+    (Spire.Deployment.replicas d);
+  let hmi = (Spire.Deployment.hmis d).(0).Spire.Deployment.h_hmi in
+  List.iter
+    (fun breaker ->
+      Printf.bprintf buf "%s=%s\n" breaker
+        (match Scada.Hmi.displayed_closed hmi breaker with
+        | Some true -> "closed"
+        | Some false -> "open"
+        | None -> "unknown"))
+    (Plc.Power.all_breakers scenario);
+  Crypto.Sha256.hex_of_string (Buffer.contents buf)
+
+let test_dnp3_golden () =
+  Alcotest.(check string) "dnp3 deployment digest"
+    "e054e7aae56dac7f14ee6ff898e2c628bdc7024f436ec8e74437a640ecffca27"
+    (dnp3_golden_digest ())
+
 let suite =
   [
     ("dnp3 request roundtrips", `Quick, test_request_roundtrips);
@@ -197,9 +290,11 @@ let suite =
     ("dnp3 bad start bytes rejected", `Quick, test_bad_start_bytes_rejected);
     ("rtu static read", `Quick, test_rtu_static_read);
     ("rtu buffers events with timestamps", `Quick, test_rtu_buffers_events_with_timestamps);
+    ("rtu clear keeps unread events", `Quick, test_rtu_clear_keeps_unread_events);
     ("rtu event overflow", `Quick, test_rtu_event_overflow);
     ("rtu operate", `Quick, test_rtu_operate);
     ("deployment with dnp3 rtu", `Quick, test_deployment_with_dnp3_rtu);
+    ("dnp3 deployment matches golden digest", `Slow, test_dnp3_golden);
     QCheck_alcotest.to_alcotest prop_operate_roundtrip;
     QCheck_alcotest.to_alcotest prop_static_roundtrip;
   ]

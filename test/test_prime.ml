@@ -8,7 +8,6 @@ let check_int = Alcotest.(check int)
 (* In-memory transport mesh with per-message latency and a drop hook. *)
 type cluster = {
   engine : Sim.Engine.t;
-  trace : Sim.Trace.t;
   keystore : Crypto.Signature.keystore;
   config : Prime.Config.t;
   replicas : Prime.Replica.t array;
@@ -63,7 +62,6 @@ let make_cluster ?(config = Prime.Config.create ~f:1 ~k:0 ()) ?(latency = 0.001)
   let c =
     {
       engine;
-      trace;
       keystore;
       config;
       replicas;

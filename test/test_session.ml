@@ -9,7 +9,6 @@ let ip = Netbase.Addr.Ip.v
 type rig = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
-  switch : Netbase.Switch.t;
   nodes : Spines.Node.t array;
   client_host : Netbase.Host.t;
 }
@@ -36,7 +35,7 @@ let make_rig ?(key = "group-key") () =
   let client_host = Netbase.Host.create ~engine ~trace "client" in
   let nic = Netbase.Host.add_nic client_host ~ip:(ip 10 0 0 99) in
   let (_ : int) = Netbase.Host.plug_into_switch client_host nic switch in
-  { engine; trace; switch; nodes; client_host }
+  { engine; trace; nodes; client_host }
 
 let make_session ?(key = "group-key") rig name =
   Spines.Node.Session.create ~engine:rig.engine ~trace:rig.trace ~host:rig.client_host ~key

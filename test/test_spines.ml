@@ -13,7 +13,6 @@ type overlay = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   switch : Netbase.Switch.t;
-  hosts : Netbase.Host.t array;
   nodes : Spines.Node.t array;
 }
 
@@ -49,7 +48,7 @@ let make_overlay ?(it_mode = true) ?(keyed = fun _ -> Some "group-key") ?(rate =
         nodes;
       Spines.Node.start node)
     nodes;
-  { engine; trace; switch; hosts; nodes }
+  { engine; trace; switch; nodes }
 
 (* --- Topology / routing -------------------------------------------------- *)
 
