@@ -51,6 +51,11 @@ let w_str b s =
   w_u32 b (String.length s);
   Buffer.add_string b s
 
+let w_str8 b s =
+  if String.length s > 0xFF then invalid_arg "Wire.w_str8: longer than 255 bytes";
+  w_u8 b (String.length s);
+  Buffer.add_string b s
+
 (* Digests are fixed-width: 32 raw bytes, no length prefix. *)
 let w_digest b d =
   if String.length d <> 32 then invalid_arg "Wire.w_digest: digest must be 32 bytes";
@@ -90,7 +95,6 @@ let sub_reader r len =
   let sub = { data = r.data; pos = r.pos; limit = r.pos + len } in
   r.pos <- r.pos + len;
   sub
-
 
 let r_u8 r =
   need r 1;
@@ -148,24 +152,17 @@ let r_bool r =
   | 1 -> true
   | _ -> raise Truncated
 
-let r_str r =
-  let len = r_u32 r in
+let r_bytes r len =
   need r len;
   let s = String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
 
-(* The length-prefixed string field as a zero-copy sub-view instead of a
-   copied-out string. *)
-let r_str_reader r =
-  let len = r_u32 r in
-  sub_reader r len
+let r_str r = r_bytes r (r_u32 r)
 
-let r_digest r =
-  need r 32;
-  let s = String.sub r.data r.pos 32 in
-  r.pos <- r.pos + 32;
-  s
+let r_str8 r = r_bytes r (r_u8 r)
+
+let r_digest r = r_bytes r 32
 
 let r_int_array r =
   let len = r_u32 r in

@@ -27,6 +27,10 @@ val w_f64 : Buffer.t -> float -> unit
 (** Length-prefixed (u32) byte string. *)
 val w_str : Buffer.t -> string -> unit
 
+(** Length-prefixed (u8) short string. Raises [Invalid_argument] above
+    255 bytes; it never truncates. *)
+val w_str8 : Buffer.t -> string -> unit
+
 (** Exactly 32 raw bytes, no length prefix. Raises [Invalid_argument] on
     any other length. *)
 val w_digest : Buffer.t -> string -> unit
@@ -44,9 +48,9 @@ val remaining : reader -> int
 
 val at_end : reader -> bool
 
-(** The next length-prefixed string field as a zero-copy sub-reader
-    (sharing the backing string) instead of a copied-out string. *)
-val r_str_reader : reader -> reader
+(** [sub_reader r len] is a zero-copy reader over the next [len] bytes
+    of [r], which it consumes. Raises {!Truncated} if fewer remain. *)
+val sub_reader : reader -> int -> reader
 
 val r_u8 : reader -> int
 
@@ -63,6 +67,8 @@ val r_bool : reader -> bool
 val r_f64 : reader -> float
 
 val r_str : reader -> string
+
+val r_str8 : reader -> string
 
 val r_digest : reader -> string
 

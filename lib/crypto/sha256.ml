@@ -81,7 +81,12 @@ let[@inline] small_sigma1 x =
   let xx = x lor (x lsl 32) in
   ((xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)) land mask
 
+(* Compression-function calls, process-wide: a deterministic hashing
+   cost for benches to report. *)
+let compression_count = ref 0
+
 let compress ctx block off =
+  incr compression_count;
   for i = 0 to 15 do
     Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (i * 4))) land mask)
   done;
@@ -193,3 +198,5 @@ let to_hex d =
   Bytes.unsafe_to_string out
 
 let hex_of_string s = to_hex (digest s)
+
+let compressions () = !compression_count

@@ -30,6 +30,11 @@ val digest : string -> digest
 (** Hash the concatenation of the parts without building it. *)
 val digest_list : string list -> digest
 
+(** Compression-function calls (64-byte blocks hashed) since the program
+    started, over every context: a deterministic measure of hashing
+    work. *)
+val compressions : unit -> int
+
 (** Lowercase hex rendering of a digest. *)
 val to_hex : digest -> string
 

@@ -18,7 +18,6 @@ type t = {
   mutable acl : acl_entry list;
   trace : Sim.Trace.t;
   engine : Sim.Engine.t;
-  counters : Sim.Stats.Counter.t;
 }
 
 let allowed t ~src ~dst ~dst_port =
@@ -34,24 +33,18 @@ let allowed t ~src ~dst ~dst_port =
 let forward t (frame : Packet.frame) =
   match frame.l3 with
   | Packet.Ipv4 { src; dst; ttl; udp } ->
-      if ttl <= 1 then Sim.Stats.Counter.incr t.counters "drop.ttl"
-      else if allowed t ~src ~dst ~dst_port:udp.dst_port then begin
-        Sim.Stats.Counter.incr t.counters "forwarded";
+      if ttl <= 1 then ()
+      else if allowed t ~src ~dst ~dst_port:udp.dst_port then
         Host.udp_send ~spoof_src:src t.host ~dst_ip:dst ~dst_port:udp.dst_port
           ~src_port:udp.src_port ~size:udp.size udp.payload
-      end
-      else begin
-        Sim.Stats.Counter.incr t.counters "drop.acl";
+      else
         Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"router"
           "%s: ACL drop %s" (Host.name t.host) (Packet.describe_l3 frame.l3)
-      end
   | Packet.Arp_request _ | Packet.Arp_reply _ -> ()
 
 let create ~engine ~trace name =
   let host = Host.create ~os:Host.centos_minimal ~engine ~trace name in
-  let t =
-    { host; acl = []; trace; engine; counters = Sim.Stats.Counter.create () }
-  in
+  let t = { host; acl = []; trace; engine } in
   (* Swallow IP packets addressed to other hosts and route them; let ARP
      and router-addressed traffic take the normal host path. *)
   Host.set_raw_handler host

@@ -25,7 +25,6 @@ type t = {
   breakers : Breaker.t option array;
   original_config : string;
   mutable config : string;
-  counters : Sim.Stats.Counter.t;
 }
 
 let create ~engine ~trace ~name ~n_coils =
@@ -37,7 +36,6 @@ let create ~engine ~trace ~name ~n_coils =
     breakers = Array.make n_coils None;
     original_config = Printf.sprintf "ladder-logic:%s:v1" name;
     config = Printf.sprintf "ladder-logic:%s:v1" name;
-    counters = Sim.Stats.Counter.create ();
   }
 
 let n_coils t = Array.length t.coils
@@ -69,7 +67,6 @@ let handle_request t (req : Modbus.request Modbus.framed) : Modbus.response Modb
   let illegal code =
     { req with Modbus.body = Modbus.Exception_response { function_code = code; exception_code = 2 } }
   in
-  Sim.Stats.Counter.incr t.counters "modbus.request";
   match req.Modbus.body with
   | Modbus.Read_coils { addr; count } ->
       if addr < 0 || addr + count > Array.length t.coils then illegal 0x01
@@ -79,7 +76,6 @@ let handle_request t (req : Modbus.request Modbus.framed) : Modbus.response Modb
       if addr < 0 || addr >= Array.length t.coils then illegal 0x05
       else if logic_compromised t then begin
         (* Malicious logic discards operator commands. *)
-        Sim.Stats.Counter.incr t.counters "modbus.ignored_by_malware";
         Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"plc"
           "%s: compromised logic ignored write-coil %d=%b" t.name addr value;
         { req with Modbus.body = Modbus.Coil_written { addr; value } }
@@ -116,9 +112,8 @@ let serve_on t host =
               Netbase.Host.udp_send host ~dst_ip:src.Netbase.Addr.ip
                 ~dst_port:src.Netbase.Addr.port ~src_port:Modbus.tcp_port
                 ~size:(String.length resp) (Modbus.Frame resp)
-          | exception Modbus.Decode_error _ ->
-              Sim.Stats.Counter.incr t.counters "modbus.garbage")
-      | _ -> Sim.Stats.Counter.incr t.counters "modbus.garbage");
+          | exception Modbus.Decode_error _ -> ())
+      | _ -> ());
   Netbase.Host.add_service host ~port:maintenance_port
     { Netbase.Host.name = "plc-maintenance"; remote_vuln = None };
   Netbase.Host.udp_bind host ~port:maintenance_port (fun ~src ~dst_port:_ ~size:_ payload ->
@@ -128,12 +123,10 @@ let serve_on t host =
       in
       match payload with
       | Maint_dump_request ->
-          Sim.Stats.Counter.incr t.counters "maint.dump";
           Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"plc"
             "%s: configuration dumped via maintenance port" t.name;
           reply (Maint_dump_reply t.config) (String.length t.config + 16)
       | Maint_upload config ->
-          Sim.Stats.Counter.incr t.counters "maint.upload";
           t.config <- config;
           Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) ~category:"plc"
             "%s: configuration REPLACED via maintenance port%s" t.name
@@ -143,7 +136,6 @@ let serve_on t host =
           (* Only honoured by compromised logic: stock firmware exposes
              dump/upload but not direct actuation. *)
           if logic_compromised t then begin
-            Sim.Stats.Counter.incr t.counters "maint.actuate";
             if coil >= 0 && coil < Array.length t.coils then begin
               t.coils.(coil) <- close;
               match t.breakers.(coil) with
@@ -153,4 +145,4 @@ let serve_on t host =
             reply Maint_ack 16
           end
       | Maint_dump_reply _ | Maint_ack -> ()
-      | _ -> Sim.Stats.Counter.incr t.counters "maint.garbage")
+      | _ -> ())

@@ -29,7 +29,7 @@ type event = { ev_number : int; ev_index : int; ev_closed : bool; ev_time : floa
 type response =
   | Static_data of bool list (* binary input states by index *)
   | Analog_data of int list (* signed 32-bit analog values by index *)
-  | Events of event list
+  | Events of { events : event list; overflow : bool (* IIN2.3: events were shed *) }
   | Operate_ack of { op_index : int; op_close : bool; success : bool }
   | Events_cleared
 
@@ -134,7 +134,10 @@ let decode_request s =
   { sequence; body }
 
 (* Event timestamps ride as milliseconds in a 32-bit field: ample for
-   simulated deployments. *)
+   simulated deployments. An event response leads with one flags byte
+   whose 0x08 bit is DNP3's IIN2.3, event buffer overflow. *)
+let iin_overflow = 0x08
+
 let encode_response { sequence; body } =
   let buf = Buffer.create 32 in
   u8 buf (sequence land 0xFF);
@@ -150,8 +153,9 @@ let encode_response { sequence; body } =
       u8 buf 0x05;
       u16 buf (List.length values);
       List.iter (fun v -> u32 buf (v land 0xFFFFFFFF)) values
-  | Events events ->
+  | Events { events; overflow } ->
       u8 buf 0x02;
+      u8 buf (if overflow then iin_overflow else 0);
       u16 buf (List.length events);
       List.iter
         (fun e ->
@@ -192,18 +196,21 @@ let decode_response s =
                (* sign-extend from 32 bits *)
                if v land 0x80000000 <> 0 then v - 0x100000000 else v))
     | 0x02 ->
-        need p 3 2;
-        let n = get_u16 p 3 in
-        need p 5 (n * 11);
-        Events
-          (List.init n (fun i ->
-               let off = 5 + (i * 11) in
-               {
-                 ev_number = get_u32 p off;
-                 ev_index = get_u16 p (off + 4);
-                 ev_closed = get_u8 p (off + 6) = 1;
-                 ev_time = float_of_int (get_u32 p (off + 7)) /. 1000.0;
-               }))
+        need p 3 3;
+        let overflow = get_u8 p 3 land iin_overflow <> 0 in
+        let n = get_u16 p 4 in
+        need p 6 (n * 11);
+        let events =
+          List.init n (fun i ->
+              let off = 6 + (i * 11) in
+              {
+                ev_number = get_u32 p off;
+                ev_index = get_u16 p (off + 4);
+                ev_closed = get_u8 p (off + 6) = 1;
+                ev_time = float_of_int (get_u32 p (off + 7)) /. 1000.0;
+              })
+        in
+        Events { events; overflow }
     | 0x03 ->
         need p 3 4;
         Operate_ack

@@ -19,7 +19,9 @@ type event = { ev_number : int; ev_index : int; ev_closed : bool; ev_time : floa
 type response =
   | Static_data of bool list
   | Analog_data of int list (* signed 32-bit analog values by index *)
-  | Events of event list
+  | Events of { events : event list; overflow : bool }
+      (** [overflow] is DNP3's IIN2.3: the outstation shed events the
+          master has not acknowledged, so it must integrity-poll. *)
   | Operate_ack of { op_index : int; op_close : bool; success : bool }
   | Events_cleared
 

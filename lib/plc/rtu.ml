@@ -15,27 +15,31 @@ type t = {
   breakers : Breaker.t option array;
   mutable events : Dnp3.event list; (* newest first *)
   mutable recorded : int; (* events ever recorded: the newest [ev_number] *)
-  mutable events_overflowed : bool;
+  mutable shed_through : int; (* newest [ev_number] shed unread, 0 if none *)
+  mutable cleared_through : int; (* newest [ev_number] the master acknowledged *)
   event_buffer_limit : int;
   mutable analog_source : (unit -> int list) option; (* group-30 analog image *)
-  counters : Sim.Stats.Counter.t;
 }
 
 let create ?(event_buffer_limit = 256) ~engine ~n_points () =
+  if event_buffer_limit < 1 then invalid_arg "Rtu.create: event_buffer_limit must be >= 1";
   {
     engine;
     breakers = Array.make n_points None;
     events = [];
     recorded = 0;
-    events_overflowed = false;
+    shed_through = 0;
+    cleared_through = 0;
     event_buffer_limit;
     analog_source = None;
-    counters = Sim.Stats.Counter.create ();
   }
 
 let pending_events t = List.length t.events
 
-let events_overflowed t = t.events_overflowed
+(* DNP3's IIN2.3: set while an event the master never acknowledged was
+   shed. A clear drops it only if every shed event is one the master had
+   read, so shedding between a read and its clear keeps it set. *)
+let events_overflowed t = t.shed_through > t.cleared_through
 
 let record_event t ~index ~closed =
   t.recorded <- t.recorded + 1;
@@ -50,7 +54,7 @@ let record_event t ~index ~closed =
   if List.length t.events >= t.event_buffer_limit then begin
     (* Oldest events are shed; the master must fall back to a static read
        (integrity poll) to resynchronise — as real DNP3 masters do. *)
-    t.events_overflowed <- true;
+    t.shed_through <- (List.nth t.events (t.event_buffer_limit - 1)).Dnp3.ev_number;
     t.events <- event :: List.filteri (fun i _ -> i < t.event_buffer_limit - 1) t.events
   end
   else t.events <- event :: t.events
@@ -64,21 +68,18 @@ let wire_breaker t ~index breaker =
     invalid_arg "Rtu.wire_breaker: bad point index";
   t.breakers.(index) <- Some breaker;
   (* Every position change becomes a buffered class-1 event. *)
-  Breaker.on_change breaker (fun b ->
-      Sim.Stats.Counter.incr t.counters "event.recorded";
-      record_event t ~index ~closed:(Breaker.is_closed b))
+  Breaker.on_change breaker (fun b -> record_event t ~index ~closed:(Breaker.is_closed b))
 
 let static_data t =
   List.init (Array.length t.breakers) (fun i ->
       match t.breakers.(i) with Some b -> Breaker.is_closed b | None -> false)
 
 let handle_request t (req : Dnp3.request Dnp3.framed) : Dnp3.response Dnp3.framed =
-  Sim.Stats.Counter.incr t.counters "dnp3.request";
   let body =
     match req.Dnp3.body with
     | Dnp3.Read_class { classes } ->
         if List.mem 0 classes then Dnp3.Static_data (static_data t)
-        else Dnp3.Events (List.rev t.events)
+        else Dnp3.Events { events = List.rev t.events; overflow = events_overflowed t }
     | Dnp3.Read_analogs ->
         Dnp3.Analog_data (match t.analog_source with Some f -> f () | None -> [])
     | Dnp3.Operate { index; close } ->
@@ -93,7 +94,7 @@ let handle_request t (req : Dnp3.request Dnp3.framed) : Dnp3.response Dnp3.frame
         (* Only what the master read: an event recorded between its read
            and this clear is still unreported. *)
         t.events <- List.filter (fun e -> e.Dnp3.ev_number > through) t.events;
-        t.events_overflowed <- false;
+        t.cleared_through <- max t.cleared_through through;
         Dnp3.Events_cleared
   in
   { Dnp3.sequence = req.Dnp3.sequence; body }
@@ -111,6 +112,5 @@ let serve_on t host =
               Netbase.Host.udp_send host ~dst_ip:src.Netbase.Addr.ip
                 ~dst_port:src.Netbase.Addr.port ~src_port:Dnp3.tcp_port
                 ~size:(String.length resp) (Dnp3.Frame resp)
-          | exception Dnp3.Decode_error _ ->
-              Sim.Stats.Counter.incr t.counters "dnp3.garbage")
-      | _ -> Sim.Stats.Counter.incr t.counters "dnp3.garbage")
+          | exception Dnp3.Decode_error _ -> ())
+      | _ -> ())

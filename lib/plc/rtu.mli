@@ -4,6 +4,8 @@
 
 type t
 
+(** Raises [Invalid_argument] if [event_buffer_limit] (default 256) is
+    below 1. *)
 val create :
   ?event_buffer_limit:int ->
   engine:Sim.Engine.t ->
@@ -13,7 +15,10 @@ val create :
 
 val pending_events : t -> int
 
-(** Did the event buffer shed events? (Masters must integrity-poll.) *)
+(** Did the event buffer shed an event the master has not acknowledged?
+    Carried as the [overflow] flag of every event response (DNP3's
+    IIN2.3); the master must integrity-poll. A [Clear_events { through }]
+    lowers it only if no event numbered above [through] was shed. *)
 val events_overflowed : t -> bool
 
 (** Wire a breaker to a binary point; its changes become events. Raises

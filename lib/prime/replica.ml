@@ -1240,11 +1240,11 @@ let install_app_checkpoint t ~next_exec_pp ~exec_seq ~cursor ~client_seqs =
   t.cursors_settled <- true;
   Sim.Stats.Counter.incr t.counters "app_checkpoint.installed"
 
+let exec_point t = (Order.next_exec_pp t.order, Order.exec_seq t.order, Order.exec_cursor t.order)
+
 let order_state t =
-  ( Order.next_exec_pp t.order,
-    Order.exec_seq t.order,
-    Order.exec_cursor t.order,
-    Hashtbl.fold (fun key _ acc -> key :: acc) t.executed_clients [] )
+  let next_exec_pp, exec_seq, cursor = exec_point t in
+  (next_exec_pp, exec_seq, cursor, Hashtbl.fold (fun key _ acc -> key :: acc) t.executed_clients [])
 
 (* --- message dispatch ------------------------------------------------------------------ *)
 

@@ -97,8 +97,13 @@ val shutdown : t -> unit
     rebuilds. *)
 val restart_clean : t -> unit
 
-(** Snapshot of (next_exec_pp, exec_seq, per-origin cursor, executed
-    client-op set) for application-level state transfer. *)
+(** The execution point: (next_exec_pp, exec_seq, per-origin cursor).
+    Cheap; the cursor is a fresh copy. *)
+val exec_point : t -> int * int * int array
+
+(** {!exec_point} plus the executed client-op set (the reply cache,
+    folded into a list), for checkpoints and application-level state
+    transfer. *)
 val order_state : t -> int * int * int array * (string * int) list
 
 (** Install the checkpoint matching an application-level state transfer;

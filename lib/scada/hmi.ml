@@ -22,7 +22,6 @@ type t = {
   display : (string, cell) Hashtbl.t;
   display_gate : Threshold.t;
   mutable on_display_change : (breaker:string -> closed:bool -> unit) list;
-  counters : Sim.Stats.Counter.t;
 }
 
 let create ~engine ~trace ~keystore ~config ~scenario ~client name =
@@ -32,12 +31,11 @@ let create ~engine ~trace ~keystore ~config ~scenario ~client name =
       engine;
       trace;
       keystore;
-            scenario;
+      scenario;
       client;
       display = Hashtbl.create 64;
       display_gate = Threshold.create ~needed:(config.Prime.Config.f + 1) ();
       on_display_change = [];
-      counters = Sim.Stats.Counter.create ();
     }
   in
   List.iter
@@ -56,7 +54,6 @@ let energized_loads t =
 
 (* Operator action: open or close a breaker from the screen. *)
 let command t ~breaker ~close =
-  Sim.Stats.Counter.incr t.counters "command.issued";
   Obs.Registry.mark Obs.Registry.default
     ~trace:(Obs.Span.command_key ~breaker ~close)
     ~stage:Obs.Registry.stage_command ~time:(Sim.Engine.now t.engine);
@@ -72,7 +69,6 @@ let apply_display_update t ~exec_seq ~breaker ~closed =
         cell.last_exec <- exec_seq;
         if cell.closed <> closed then begin
           cell.closed <- closed;
-          Sim.Stats.Counter.incr t.counters "display.changed";
           (* The Section V measurement point: the repaint closes the
              status pipeline opened by the physical flip. *)
           Obs.Registry.mark Obs.Registry.default
@@ -87,8 +83,7 @@ let handle_hmi_state t ~rep ~exec_seq ~breaker ~closed signature =
   let valid =
     Crypto.Signature.verify t.keystore ~signer:(Prime.Msg.replica_identity rep) body signature
   in
-  if not valid then Sim.Stats.Counter.incr t.counters "display.bad_sig"
-  else begin
+  if valid then begin
     let key = Printf.sprintf "%d:%s:%b" exec_seq breaker closed in
     if Threshold.vote t.display_gate ~key ~voter:rep then begin
       if Obs.Flight.recording Obs.Flight.default then
@@ -109,13 +104,13 @@ let handle_hmi_batch t ~rep ~exec_seq ~changes signature =
   let valid =
     Crypto.Signature.verify t.keystore ~signer:(Prime.Msg.replica_identity rep) body signature
   in
-  if not valid then Sim.Stats.Counter.incr t.counters "display.bad_sig"
-  else if
-    (* Vote key is the rep-independent encoding: all replicas pushing the
-       same change set at the same exec point vote for the same key. *)
-    Threshold.vote t.display_gate
-      ~key:(Messages.encode_hmi_batch ~rep:(-1) ~exec_seq ~changes)
-      ~voter:rep
+  (* Vote key is the rep-independent encoding: all replicas pushing the
+     same change set at the same exec point vote for the same key. *)
+  if
+    valid
+    && Threshold.vote t.display_gate
+         ~key:(Messages.encode_hmi_batch ~rep:(-1) ~exec_seq ~changes)
+         ~voter:rep
   then begin
     if Obs.Flight.recording Obs.Flight.default then
       Obs.Flight.record Obs.Flight.default ~time:(Sim.Engine.now t.engine)

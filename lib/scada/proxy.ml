@@ -244,7 +244,7 @@ let handle_analog_data t r values =
 
 let handle_dnp3_response t r bytes =
   match Plc.Dnp3.decode_response bytes with
-  | { Plc.Dnp3.body = Plc.Dnp3.Events events; _ } ->
+  | { Plc.Dnp3.body = Plc.Dnp3.Events { events; overflow }; _ } ->
       if events <> [] then begin
         (* Apply in device-time order; only the newest state per point
            matters for the report, and [note_change] keeps exactly the
@@ -261,6 +261,12 @@ let handle_dnp3_response t r bytes =
           List.fold_left (fun n (e : Plc.Dnp3.event) -> max n e.Plc.Dnp3.ev_number) 0 events
         in
         send_dnp3 t r (Plc.Dnp3.Clear_events { through })
+      end;
+      (* Shed events may hide a flip and flip-back: re-read the whole
+         static image now instead of at the next scheduled integrity poll. *)
+      if overflow then begin
+        Sim.Stats.Counter.incr t.counters "dnp3.overflow";
+        integrity_poll t r
       end
   | { Plc.Dnp3.body = Plc.Dnp3.Static_data bits; _ } -> report_image t Fun.id bits
   | { Plc.Dnp3.body = Plc.Dnp3.Analog_data values; _ } -> handle_analog_data t r values

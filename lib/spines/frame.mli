@@ -25,10 +25,20 @@ type meta =
     }
   | M_lsa of { origin : int; seq : int; up_neighbors : int list }
 
-(** Raises [Invalid_argument] on an empty list or more than 65535
-    entries. *)
+(** Raises [Invalid_argument] on an empty list, more than 65535 entries,
+    or a field outside its wire width: [origin], [origin_client],
+    [priority], [node], [client] and LSA neighbor ids are u16; [data_seq],
+    [app_size] and the LSA [seq] are u32; names are at most 255 bytes and
+    an LSA lists at most 255 neighbors. Nothing is ever wrapped or
+    truncated. *)
 val encode_header : meta list -> string
 
 (** Total decoder: [None] on any malformed, truncated, or
-    wrong-magic/version input. *)
+    wrong-magic/version input (including the retired version-1 layout). *)
 val decode_header : string -> meta list option
+
+(** The frame's link MAC: HMAC-SHA256 over ["frame:" ^ header] under the
+    deployment's group key. *)
+val mac : Crypto.Hmac.schedule -> string -> string
+
+val mac_valid : Crypto.Hmac.schedule -> tag:string -> string -> bool

@@ -141,6 +141,11 @@ type t = {
   id : node_id;
   config : config;
   link_key : Crypto.Hmac.schedule option; (* [config.group_key], scheduled once *)
+  (* The last frame header this daemon MACed and its tag: a flood flushes
+     the same manifest to every neighbor in turn, and the tag is a
+     function of the header under this daemon's own key. *)
+  mutable mac_header : string;
+  mutable mac_tag : string;
   host : Netbase.Host.t;
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
@@ -178,6 +183,8 @@ let create ~engine ~trace ~host ~id config =
       id;
       config;
       link_key = Option.map (fun key -> Crypto.Hmac.schedule ~key) config.group_key;
+      mac_header = "";
+      mac_tag = "";
       host;
       engine;
       trace;
@@ -259,7 +266,9 @@ let encode_inner = function
 
 let compute_auth t inner =
   match t.link_key with
-  | Some key -> Crypto.Hmac.mac_sched key (encode_inner inner)
+  | Some key ->
+      Sim.Stats.Counter.incr t.counters "link.mac";
+      Crypto.Hmac.mac_sched key (encode_inner inner)
   | None -> ""
 
 let auth_valid t ~auth inner =
@@ -330,15 +339,23 @@ let frame_sub_overhead = 12
    convergence is never queued behind application traffic. *)
 let lsa_priority = 1000
 
+(* One MAC per distinct manifest: a header byte-equal to the last one
+   reuses its tag, which is exact because the tag is HMAC(key, header). *)
 let frame_auth t header =
   match t.link_key with
-  | Some key -> Crypto.Hmac.mac_list_sched key [ "frame:"; header ]
+  | Some key ->
+      if not (String.equal header t.mac_header) then begin
+        Sim.Stats.Counter.incr t.counters "link.mac";
+        t.mac_tag <- Frame.mac key header;
+        t.mac_header <- header
+      end;
+      t.mac_tag
   | None -> ""
 
 let frame_auth_valid t ~auth header =
   match t.link_key with
   | None -> true
-  | Some key -> Crypto.Hmac.verify_list_sched key ~tag:auth [ "frame:"; header ]
+  | Some key -> Frame.mac_valid key ~tag:auth header
 
 let meta_of_dst = function
   | To_client { node; client } -> Frame.M_client { node; client }
@@ -486,11 +503,10 @@ let next_hop_snapshot t =
   ensure_route_table t;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.route_table [])
 
-let live_neighbors t =
-  List.filter
-    (fun n ->
-      match Hashtbl.find_opt t.neighbor_states n with Some s -> s.up | None -> false)
-    (Topology.neighbors t.config.topology t.id)
+let neighbor_up t n =
+  match Hashtbl.find_opt t.neighbor_states n with Some s -> s.up | None -> false
+
+let live_neighbors t = List.filter (neighbor_up t) (Topology.neighbors t.config.topology t.id)
 
 (* --- local delivery ------------------------------------------------------ *)
 
@@ -558,8 +574,9 @@ let flood t ?except inner =
     | Hello _ | Hello_ack _ -> (lsa_priority, t.id)
   in
   List.iter
-    (fun n -> if Some n <> except then enqueue_link t ~to_:n ~prio ~origin inner)
-    (live_neighbors t)
+    (fun n ->
+      if neighbor_up t n && Some n <> except then enqueue_link t ~to_:n ~prio ~origin inner)
+    (Topology.neighbors t.config.topology t.id)
 
 let forward_data t ~from (d : data) =
   let before = Window.evictions t.dedup in

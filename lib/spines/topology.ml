@@ -22,6 +22,9 @@ type t = {
   (* node -> (neighbor, weight) array, sorted by neighbor id: the
      canonical relaxation order that makes routing tables reproducible. *)
   adjacency : (node_id, (node_id * float) array) Hashtbl.t;
+  (* node -> neighbor ids in the same order, built once: daemons walk it
+     on every flood. *)
+  neighbor_lists : (node_id, node_id list) Hashtbl.t;
 }
 
 let create ~nodes ~links =
@@ -51,6 +54,7 @@ let create ~nodes ~links =
       add l.b (l.a, l.weight))
     links;
   let adjacency_arrays = Hashtbl.create (List.length nodes) in
+  let neighbor_lists = Hashtbl.create (List.length nodes) in
   List.iter
     (fun n ->
       let entries =
@@ -58,9 +62,10 @@ let create ~nodes ~links =
       in
       let arr = Array.of_list entries in
       Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-      Hashtbl.replace adjacency_arrays n arr)
+      Hashtbl.replace adjacency_arrays n arr;
+      Hashtbl.replace neighbor_lists n (Array.to_list (Array.map fst arr)))
     nodes;
-  { nodes; links; adjacency = adjacency_arrays }
+  { nodes; links; adjacency = adjacency_arrays; neighbor_lists }
 
 let nodes t = t.nodes
 
@@ -81,7 +86,7 @@ let full_mesh nodes =
 let adjacency t id =
   match Hashtbl.find_opt t.adjacency id with Some a -> a | None -> [||]
 
-let neighbors t id = Array.to_list (Array.map fst (adjacency t id))
+let neighbors t id = match Hashtbl.find_opt t.neighbor_lists id with Some l -> l | None -> []
 
 (* A link view says which links are currently believed up. Keys are
    normalised (min, max) pairs. The epoch counts real transitions only:

@@ -34,10 +34,20 @@ let test_response_roundtrips () =
       Plc.Dnp3.Static_data [ true; false; true; true; false ];
       Plc.Dnp3.Static_data [];
       Plc.Dnp3.Events
-        [
-          { Plc.Dnp3.ev_number = 1; ev_index = 3; ev_closed = false; ev_time = 12.5 };
-          { Plc.Dnp3.ev_number = 70_000; ev_index = 0; ev_closed = true; ev_time = 13.75 };
-        ];
+        {
+          events =
+            [
+              { Plc.Dnp3.ev_number = 1; ev_index = 3; ev_closed = false; ev_time = 12.5 };
+              { Plc.Dnp3.ev_number = 70_000; ev_index = 0; ev_closed = true; ev_time = 13.75 };
+            ];
+          overflow = false;
+        };
+      Plc.Dnp3.Events
+        {
+          events = [ { Plc.Dnp3.ev_number = 9; ev_index = 1; ev_closed = true; ev_time = 0.5 } ];
+          overflow = true;
+        };
+      Plc.Dnp3.Events { events = []; overflow = true };
       Plc.Dnp3.Operate_ack { op_index = 2; op_close = true; success = true };
       Plc.Dnp3.Operate_ack { op_index = 9; op_close = false; success = false };
       Plc.Dnp3.Events_cleared;
@@ -112,7 +122,7 @@ let test_rtu_buffers_events_with_timestamps () =
   ignore (Sim.Engine.schedule engine ~delay:2.5 (fun () -> Plc.Breaker.force breakers.(0) Plc.Breaker.Closed));
   Sim.Engine.run ~until:5.0 engine;
   (match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
-  | Plc.Dnp3.Events [ e1; e2 ] ->
+  | Plc.Dnp3.Events { events = [ e1; e2 ]; overflow = false } ->
       check "first event open" false e1.Plc.Dnp3.ev_closed;
       Alcotest.(check (float 0.001)) "device timestamp" 1.0 e1.Plc.Dnp3.ev_time;
       check "second event closed" true e2.Plc.Dnp3.ev_closed;
@@ -123,7 +133,7 @@ let test_rtu_buffers_events_with_timestamps () =
   | Plc.Dnp3.Events_cleared -> ()
   | _ -> Alcotest.fail "expected clear ack");
   match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
-  | Plc.Dnp3.Events [] -> ()
+  | Plc.Dnp3.Events { events = []; overflow = false } -> ()
   | _ -> Alcotest.fail "buffer should be empty"
 
 let test_rtu_clear_keeps_unread_events () =
@@ -135,7 +145,7 @@ let test_rtu_clear_keeps_unread_events () =
   Plc.Breaker.force breakers.(0) Plc.Breaker.Open;
   let through =
     match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
-    | Plc.Dnp3.Events [ e ] -> e.Plc.Dnp3.ev_number
+    | Plc.Dnp3.Events { events = [ e ]; _ } -> e.Plc.Dnp3.ev_number
     | _ -> Alcotest.fail "expected one event"
   in
   Sim.Engine.run ~until:0.5 engine;
@@ -144,7 +154,7 @@ let test_rtu_clear_keeps_unread_events () =
   | Plc.Dnp3.Events_cleared -> ()
   | _ -> Alcotest.fail "expected clear ack");
   match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
-  | Plc.Dnp3.Events [ e ] ->
+  | Plc.Dnp3.Events { events = [ e ]; _ } ->
       check "unread flip-back survives the clear" true e.Plc.Dnp3.ev_closed;
       Alcotest.(check (float 0.001)) "its device time" 0.5 e.Plc.Dnp3.ev_time
   | _ -> Alcotest.fail "expected the unread event"
@@ -163,14 +173,51 @@ let test_rtu_event_overflow () =
      clear still removes only events up to the newest one read. *)
   let through =
     match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
-    | Plc.Dnp3.Events events -> List.fold_left (fun n e -> max n e.Plc.Dnp3.ev_number) 0 events
+    | Plc.Dnp3.Events { events; overflow } ->
+        check "the read carries the overflow flag" true overflow;
+        List.fold_left (fun n e -> max n e.Plc.Dnp3.ev_number) 0 events
     | _ -> Alcotest.fail "expected events"
   in
   for _ = 1 to 3 do
     Plc.Breaker.toggle_force b
   done;
   ignore (ask rtu (Plc.Dnp3.Clear_events { through }));
-  check_int "the three unread events survive" 3 (Plc.Rtu.pending_events rtu)
+  check_int "the three unread events survive" 3 (Plc.Rtu.pending_events rtu);
+  (* Only events the master had read were shed since: the clear lowers
+     the flag. *)
+  check "flag cleared" false (Plc.Rtu.events_overflowed rtu)
+
+let test_rtu_overflow_flag_survives_unread_shedding () =
+  (* Events 1..5 are shed, 6..10 buffered and read; then 6 more changes
+     shed 6..11. Event 11 was never read, so the clear through 10 must
+     leave the flag up until a clear covers it. *)
+  let engine = Sim.Engine.create () in
+  let rtu = Plc.Rtu.create ~event_buffer_limit:5 ~engine ~n_points:1 () in
+  let b = Plc.Breaker.create ~engine "P0" in
+  Plc.Rtu.wire_breaker rtu ~index:0 b;
+  for _ = 1 to 10 do
+    Plc.Breaker.toggle_force b
+  done;
+  let read () =
+    match ask rtu (Plc.Dnp3.Read_class { classes = [ 1 ] }) with
+    | Plc.Dnp3.Events { events; overflow } ->
+        (List.fold_left (fun n e -> max n e.Plc.Dnp3.ev_number) 0 events, overflow)
+    | _ -> Alcotest.fail "expected events"
+  in
+  let through, overflow = read () in
+  check_int "read through the newest" 10 through;
+  check "first read flags the overflow" true overflow;
+  for _ = 1 to 6 do
+    Plc.Breaker.toggle_force b
+  done;
+  ignore (ask rtu (Plc.Dnp3.Clear_events { through }));
+  check "unread event 11 was shed: flag stays" true (Plc.Rtu.events_overflowed rtu);
+  let through, overflow = read () in
+  check_int "next read through the newest" 16 through;
+  check "next read still flags it" true overflow;
+  ignore (ask rtu (Plc.Dnp3.Clear_events { through }));
+  check "a clear past every shed event lowers it" false (Plc.Rtu.events_overflowed rtu);
+  check "later reads are unflagged" false (snd (read ()))
 
 let test_rtu_operate () =
   let engine, rtu, breakers = make_rtu () in
@@ -222,6 +269,47 @@ let test_deployment_with_dnp3_rtu () =
     (match (Spire.Deployment.proxies d).(0).Spire.Deployment.p_frontend with
     | Spire.Deployment.Dnp3_rtu _ -> 1
     | Spire.Deployment.Modbus_plc _ -> 0)
+
+let test_proxy_integrity_polls_on_overflow () =
+  (* 301 changes at one instant overrun the RTU's 256-event buffer. The
+     next event poll carries the overflow flag, and the proxy re-reads the
+     static image at once instead of waiting up to 2 s for the scheduled
+     integrity poll. *)
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let scenario =
+    {
+      Plc.Power.scenario_name = "dnp3-overflow";
+      plcs =
+        [ { Plc.Power.plc_name = "RTUSITE"; breaker_names = [ "R1"; "R2" ]; physical = true } ];
+      feeds = [ { Plc.Power.load_name = "Feeder"; path = [ "R1"; "R2" ] } ];
+    }
+  in
+  let d =
+    Spire.Deployment.create ~dnp3_plcs:[ "RTUSITE" ] ~engine ~trace
+      ~config:(Prime.Config.red_team ()) scenario
+  in
+  Sim.Engine.run ~until:3.0 engine;
+  let proxy = (Spire.Deployment.proxies d).(0).Spire.Deployment.p_proxy in
+  let count name = Sim.Stats.Counter.get (Scada.Proxy.counters proxy) name in
+  let integrity = count "poll.integrity" in
+  check_int "no overflow yet" 0 (count "dnp3.overflow");
+  let r1 =
+    match Spire.Deployment.find_breaker d "R1" with
+    | Some (_, b) -> b
+    | None -> Alcotest.fail "breaker missing"
+  in
+  for _ = 1 to 301 do
+    Plc.Breaker.toggle_force r1
+  done;
+  (* The scheduled integrity polls fall at 2 s and 4 s. *)
+  Sim.Engine.run ~until:3.5 engine;
+  check_int "overflow seen once" 1 (count "dnp3.overflow");
+  check_int "one immediate integrity poll" (integrity + 1) (count "poll.integrity");
+  Sim.Engine.run ~until:6.0 engine;
+  let hmi = (Spire.Deployment.hmis d).(0).Spire.Deployment.h_hmi in
+  Alcotest.(check (option bool)) "hmi shows the final position" (Some false)
+    (Scada.Hmi.displayed_closed hmi "R1")
 
 (* Same-seed output of an all-DNP3 deployment, pinned by SHA-256: the
    flight log, every replica's execution point and state digest, and the
@@ -292,6 +380,10 @@ let suite =
     ("rtu buffers events with timestamps", `Quick, test_rtu_buffers_events_with_timestamps);
     ("rtu clear keeps unread events", `Quick, test_rtu_clear_keeps_unread_events);
     ("rtu event overflow", `Quick, test_rtu_event_overflow);
+    ( "rtu overflow flag survives unread shedding",
+      `Quick,
+      test_rtu_overflow_flag_survives_unread_shedding );
+    ("dnp3 proxy integrity-polls on overflow", `Quick, test_proxy_integrity_polls_on_overflow);
     ("rtu operate", `Quick, test_rtu_operate);
     ("deployment with dnp3 rtu", `Quick, test_deployment_with_dnp3_rtu);
     ("dnp3 deployment matches golden digest", `Slow, test_dnp3_golden);

@@ -656,37 +656,50 @@ let test_egress_drain_order_deterministic () =
   in
   check "two identical fills drain identically" true (fill () = fill ())
 
+let u16_max = 0xFFFF
+
+let u32_max = 0xFFFFFFFF
+
+let data_meta ?(origin = 0) ?(origin_client = 0) ?(data_seq = 0) ?(priority = 0)
+    ?(app_size = 0) dst =
+  Spines.Frame.M_data { origin; origin_client; data_seq; dst; priority; app_size }
+
+let sample_metas =
+  [
+    data_meta ~origin:3 ~origin_client:7 ~data_seq:42 ~priority:5 ~app_size:128
+      (Spines.Frame.M_client { node = 1; client = 2 });
+    data_meta ~origin:1 ~data_seq:7 ~priority:1 ~app_size:64 (Spines.Frame.M_group "replicas");
+    Spines.Frame.M_lsa { origin = 2; seq = 9; up_neighbors = [ 0; 1; 3 ] };
+    data_meta ~origin_client:1 ~data_seq:1 ~priority:2 ~app_size:32
+      (Spines.Frame.M_session "hmi-1");
+  ]
+
 let test_frame_header_roundtrip () =
-  let metas =
+  (match Spines.Frame.decode_header (Spines.Frame.encode_header sample_metas) with
+  | Some decoded -> check "round-trips" true (decoded = sample_metas)
+  | None -> Alcotest.fail "well-formed header failed to decode");
+  (* Every field at the top of its wire width. *)
+  let name = String.make 255 'n' in
+  let maxima =
     [
-      Spines.Frame.M_data
-        {
-          origin = 3; origin_client = 7; data_seq = 42;
-          dst = Spines.Frame.M_client { node = 1; client = 2 };
-          priority = 5; app_size = 128;
-        };
-      Spines.Frame.M_data
-        {
-          origin = 1; origin_client = 0; data_seq = 7;
-          dst = Spines.Frame.M_group "replicas"; priority = 1; app_size = 64;
-        };
-      Spines.Frame.M_lsa { origin = 2; seq = 9; up_neighbors = [ 0; 1; 3 ] };
-      Spines.Frame.M_data
-        {
-          origin = 0; origin_client = 1; data_seq = 1;
-          dst = Spines.Frame.M_session "hmi-1"; priority = 2; app_size = 32;
-        };
+      data_meta ~origin:u16_max ~origin_client:u16_max ~data_seq:u32_max ~priority:u16_max
+        ~app_size:u32_max (Spines.Frame.M_client { node = u16_max; client = u16_max });
+      data_meta ~data_seq:u32_max (Spines.Frame.M_group name);
+      data_meta ~app_size:u32_max (Spines.Frame.M_session name);
+      Spines.Frame.M_lsa
+        { origin = u16_max; seq = u32_max; up_neighbors = List.init 255 (fun i -> u16_max - i) };
+      Spines.Frame.M_lsa { origin = 0; seq = 0; up_neighbors = [] };
     ]
   in
-  match Spines.Frame.decode_header (Spines.Frame.encode_header metas) with
-  | Some decoded -> check "round-trips" true (decoded = metas)
-  | None -> Alcotest.fail "well-formed header failed to decode"
+  let header = Spines.Frame.encode_header maxima in
+  check "round-trips at the field maxima" true (Spines.Frame.decode_header header = Some maxima);
+  (* 4-byte header; entries: 2-byte length + 19 (client), 16 + name (named),
+     8 + 2 per neighbor (LSA). *)
+  check_int "fixed-width layout" (4 + 21 + (2 * (18 + 255)) + (10 + 510) + 10)
+    (String.length header)
 
 let test_frame_decode_total_on_garbage () =
-  let metas =
-    [ Spines.Frame.M_lsa { origin = 2; seq = 9; up_neighbors = [ 0; 1 ] } ]
-  in
-  let good = Spines.Frame.encode_header metas in
+  let good = Spines.Frame.encode_header sample_metas in
   (* Every truncation of a valid header must decode to None, not raise. *)
   for len = 0 to String.length good - 1 do
     match Spines.Frame.decode_header (String.sub good 0 len) with
@@ -699,7 +712,114 @@ let test_frame_decode_total_on_garbage () =
     (Spines.Frame.decode_header (String.make 64 '\xff') = None);
   (* A header whose count exceeds its entries must also be rejected. *)
   let doctored = good ^ "trailing-junk" in
-  check "trailing bytes rejected" true (Spines.Frame.decode_header doctored = None)
+  check "trailing bytes rejected" true (Spines.Frame.decode_header doctored = None);
+  let relabelled = Bytes.of_string good in
+  Bytes.set relabelled 1 '\001';
+  check "v2 bytes under version 1 rejected" true
+    (Spines.Frame.decode_header (Bytes.to_string relabelled) = None);
+  (* The retired layout: 8-byte ints, u32-prefixed entries. *)
+  let v1 =
+    Wire.encode (fun b ->
+        Wire.w_u8 b 0xF5;
+        Wire.w_u8 b 1;
+        Wire.w_u16 b 1;
+        Wire.w_str b
+          (Wire.encode (fun e ->
+               Wire.w_u8 e 1;
+               Wire.w_int e 2;
+               Wire.w_int e 9;
+               Wire.w_int_array e [| 0; 1; 3 |])))
+  in
+  check "version-1 header rejected" true (Spines.Frame.decode_header v1 = None)
+
+let test_frame_encoder_rejects_out_of_range () =
+  let rejects label meta =
+    match Spines.Frame.encode_header [ meta ] with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: encoded instead of raising Invalid_argument" label
+  in
+  let client = Spines.Frame.M_client { node = 0; client = 0 } in
+  List.iter
+    (fun (bad, label) ->
+      rejects ("origin " ^ label) (data_meta ~origin:bad client);
+      rejects ("origin_client " ^ label) (data_meta ~origin_client:bad client);
+      rejects ("priority " ^ label) (data_meta ~priority:bad client);
+      rejects ("node " ^ label) (data_meta (Spines.Frame.M_client { node = bad; client = 0 }));
+      rejects ("client " ^ label) (data_meta (Spines.Frame.M_client { node = 0; client = bad }));
+      rejects ("lsa origin " ^ label)
+        (Spines.Frame.M_lsa { origin = bad; seq = 0; up_neighbors = [] });
+      rejects ("lsa neighbor " ^ label)
+        (Spines.Frame.M_lsa { origin = 0; seq = 0; up_neighbors = [ 1; bad ] }))
+    [ (-1, "negative"); (u16_max + 1, "65536") ];
+  List.iter
+    (fun (bad, label) ->
+      rejects ("data_seq " ^ label) (data_meta ~data_seq:bad client);
+      rejects ("app_size " ^ label) (data_meta ~app_size:bad client);
+      rejects ("lsa seq " ^ label) (Spines.Frame.M_lsa { origin = 0; seq = bad; up_neighbors = [] }))
+    [ (-1, "negative"); (u32_max + 1, "2^32") ];
+  let long = String.make 256 'n' in
+  rejects "256-byte group" (data_meta (Spines.Frame.M_group long));
+  rejects "256-byte session" (data_meta (Spines.Frame.M_session long));
+  rejects "256 neighbors"
+    (Spines.Frame.M_lsa { origin = 0; seq = 0; up_neighbors = List.init 256 Fun.id })
+
+let counter node name = Sim.Stats.Counter.get (Spines.Node.counters node) name
+
+let test_one_mac_per_distinct_manifest () =
+  (* A group flood from node 0 of a 6-node mesh flushes one frame to each
+     of its 5 neighbors. Every flush carries the same manifest, so node 0
+     computes one MAC for the 5 frames; the next flood is a new manifest
+     and costs one new MAC. Receivers verify every frame. *)
+  let o = make_overlay (Spines.Topology.full_mesh [ 0; 1; 2; 3; 4; 5 ]) in
+  let sinks =
+    Array.mapi
+      (fun i node -> if i = 0 then ref [] else collect_client node ~client:9 ~groups:[ "g" ] ())
+      o.nodes
+  in
+  (* Hellos (link messages, MACed on their own) first fire at 0.2 s. *)
+  Sim.Engine.run ~until:0.05 o.engine;
+  let origin = o.nodes.(0) in
+  check_int "quiet before the flood" 0 (counter origin "link.tx");
+  Spines.Node.send origin ~client:1 ~size:50 (Spines.Node.To_group "g") (Netbase.Packet.Raw "a");
+  Sim.Engine.run ~until:0.1 o.engine;
+  check_int "5 frames" 5 (counter origin "link.tx");
+  check_int "1 MAC" 1 (counter origin "link.mac");
+  Spines.Node.send origin ~client:1 ~size:50 (Spines.Node.To_group "g") (Netbase.Packet.Raw "b");
+  Sim.Engine.run ~until:0.15 o.engine;
+  check_int "10 frames" 10 (counter origin "link.tx");
+  check_int "a new manifest, a new MAC" 2 (counter origin "link.mac");
+  Array.iteri
+    (fun i sink ->
+      if i > 0 then begin
+        check_int (Printf.sprintf "node %d got both" i) 2 (List.length !sink);
+        (* It relayed each message to its 4 other neighbors: 8 frames
+           under 2 MACs. *)
+        check_int (Printf.sprintf "node %d relayed" i) 8 (counter o.nodes.(i) "link.tx");
+        check_int (Printf.sprintf "node %d MACs" i) 2 (counter o.nodes.(i) "link.mac")
+      end)
+    sinks;
+  check "no frame rejected" true
+    (Array.for_all (fun node -> counter node "auth.reject" = 0) o.nodes)
+
+let test_mac_memo_is_per_daemon () =
+  (* Three overlays in one process whose node 1 floods byte-identical
+     manifests (same origin, sequence, group and size), under the group
+     key, a stale key, then the group key again. A tag remembered across
+     daemons would let the stale daemon reuse the keyed one's tag, or the
+     reverse. *)
+  let flood_from_1 keyed =
+    let o = make_overlay ~keyed (Spines.Topology.full_mesh [ 0; 1; 2 ]) in
+    let sink = collect_client o.nodes.(2) ~client:9 ~groups:[ "g" ] () in
+    Spines.Node.send o.nodes.(1) ~client:1 ~size:50 (Spines.Node.To_group "g")
+      (Netbase.Packet.Raw "same");
+    Sim.Engine.run ~until:0.1 o.engine;
+    (List.length !sink, counter o.nodes.(1) "link.mac")
+  in
+  let good = fun _ -> Some "group-key" in
+  let stale i = if i = 1 then Some "stale-key" else Some "group-key" in
+  Alcotest.(check (pair int int)) "keyed: delivered, one MAC" (1, 1) (flood_from_1 good);
+  Alcotest.(check (pair int int)) "stale: rejected, its own MAC" (0, 1) (flood_from_1 stale);
+  Alcotest.(check (pair int int)) "keyed again: delivered" (1, 1) (flood_from_1 good)
 
 let test_corrupt_frames_dropped_not_crashing () =
   (* A keyed-but-patched daemon ships frames whose HMAC covers a corrupted
@@ -775,6 +895,9 @@ let suite =
     ("egress drain order deterministic", `Quick, test_egress_drain_order_deterministic);
     ("frame header roundtrip", `Quick, test_frame_header_roundtrip);
     ("frame decode total on garbage", `Quick, test_frame_decode_total_on_garbage);
+    ("frame encoder rejects out-of-range fields", `Quick, test_frame_encoder_rejects_out_of_range);
+    ("one MAC per distinct manifest", `Quick, test_one_mac_per_distinct_manifest);
+    ("MAC memo is per daemon", `Quick, test_mac_memo_is_per_daemon);
     ("corrupt frames dropped not crashing", `Quick, test_corrupt_frames_dropped_not_crashing);
     ("node egress overflow counted", `Quick, test_node_egress_overflow_counted);
   ]

@@ -68,7 +68,7 @@ let test_sub_reader_bounded_views () =
         Wire.w_u8 b 0xAA)
   in
   let r = Wire.reader blob in
-  let ra = Wire.r_str_reader r in
+  let ra = Wire.sub_reader r (Wire.r_u32 r) in
   check_int "sub-view sized to the field" (String.length rec_a) (Wire.remaining ra);
   check_int "first field" 7 (Wire.r_u16 ra);
   check_str "nested string" "payload-a" (Wire.r_str ra);
@@ -78,18 +78,18 @@ let test_sub_reader_bounded_views () =
   Alcotest.check_raises "bounded past the window" Wire.Truncated (fun () ->
       ignore (Wire.r_u8 ra));
   (* The parent resumes after the window, independent of sub-view reads. *)
-  let rb = Wire.r_str_reader r in
+  let rb = Wire.sub_reader r (Wire.r_u32 r) in
   check_int "second record" 8 (Wire.r_u16 rb);
   check_int "parent continues past both" 0xAA (Wire.r_u8 r);
   check "parent consumed" true (Wire.at_end r);
   (* A sub-view larger than what remains is refused up front. *)
   let short = Wire.reader (Wire.encode (fun b -> Wire.w_u32 b 1000)) in
   Alcotest.check_raises "oversized window refused" Wire.Truncated (fun () ->
-      ignore (Wire.r_str_reader short));
+      ignore (Wire.sub_reader short (Wire.r_u32 short)));
   (* Equivalence: for any record, parsing through a sub-view reads the
      same bytes as parsing the copied-out string. *)
   let r1 = Wire.reader blob and r2 = Wire.reader blob in
-  let via_view = Wire.r_str_reader r1 in
+  let via_view = Wire.sub_reader r1 (Wire.r_u32 r1) in
   let via_copy = Wire.reader (Wire.r_str r2) in
   check_int "same u16 either way" (Wire.r_u16 via_copy) (Wire.r_u16 via_view);
   check_str "same nested string" (Wire.r_str via_copy) (Wire.r_str via_view)
